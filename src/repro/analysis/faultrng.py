@@ -1,15 +1,15 @@
 """R008: fault-path RNG isolation — keyed draws only near faults.
 
-The fault injector (:mod:`repro.serve.faults`) promises that the
-scalar and streaming fleet simulators make *identical* failure
-decisions even though they visit jobs in different internal orders.
-That only holds because every stochastic choice is a pure keyed hash
-of ``(seed, job_id, attempt, stream)`` — there is no generator object
-whose output depends on how many draws happened before.
+The fault injector (:mod:`repro.serve.faults`) promises that a job's
+failures do not depend on when, or under which policy, the fleet
+simulator dispatches it.  That only holds because every stochastic
+choice is a pure keyed hash of ``(seed, job_id, attempt, stream)`` —
+there is no generator object whose output depends on how many draws
+happened before.
 
 A single stateful RNG call anywhere on the fault path silently breaks
-that contract: the two simulators would consume the stream in
-different orders and diverge.  This rule therefore bans *all* RNG
+that contract: runs that dispatch in different orders would consume
+the stream differently and diverge.  This rule therefore bans *all* RNG
 machinery — not just the unseeded kind R004 already flags — from any
 module that imports :mod:`repro.serve.faults` (and from ``faults.py``
 itself):
@@ -37,8 +37,8 @@ from repro.analysis.core import Finding, Module, Project, Rule, register
 _FAULTS_MODULE = "repro.serve.faults"
 
 _HINT = ("derive the value from a keyed hash instead "
-         "(repro.serve.faults._keyed_uniform) so both simulators "
-         "draw it identically regardless of call order")
+         "(repro.serve.faults._keyed_uniform) so every run "
+         "draws it identically regardless of call order")
 
 
 def _dotted(node: ast.expr) -> list[str]:

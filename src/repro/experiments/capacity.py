@@ -4,7 +4,7 @@ Answers the operator's inverse question — "what is the smallest fleet
 that serves this trace within a p99 queueing-wait SLO (and optionally
 a throughput floor)?" — by running
 :func:`repro.serve.plan_capacity`'s doubling-plus-bisection search
-over the array-backed streaming simulator, then re-verifying the
+over the array-backed fleet simulator, then re-verifying the
 chosen fleet.  The probe log is part of the result, so the rendered
 table shows the whole search trajectory, not just the answer.
 

@@ -1,8 +1,8 @@
 """Opt-in observability: simulated-time tracing, metrics, profiling.
 
 Three tiers, all disabled by default and zero-cost when off (the
-simulators take ``None`` and skip every hook — the differential tests
-pin the disabled path byte-identical to the pre-observability code):
+simulators take ``None`` and skip every hook — the tests pin the
+disabled path to the same reports and dispatch logs):
 
 * :mod:`repro.obs.trace` — :class:`TraceRecorder`, Chrome-trace /
   Perfetto JSON over *simulated* time (training-step op spans, fleet
@@ -15,7 +15,8 @@ pin the disabled path byte-identical to the pre-observability code):
   hit/miss counts) written to a per-run JSON manifest.
 
 :class:`FleetObs` binds a recorder and/or registry to one fleet
-simulation (``simulate_fleet(..., obs=FleetObs(recorder=...))``).
+simulation
+(``simulate_fleet_streaming(..., obs=FleetObs(recorder=...))``).
 """
 
 from repro.obs.fleet import FleetObs

@@ -1,27 +1,22 @@
 """Fleet-simulator observability: job-lifecycle spans + windowed metrics.
 
 One :class:`FleetObs` observes one fleet simulation.  The contract is
-split to keep the event loops fast:
+split to keep the event loop fast:
 
-* **During the run** the schedulers touch only two O(1) surfaces: an
-  inline ``(job_id, start_s)`` append per dispatch (streaming path
-  only — the scalar path's :class:`~repro.serve.scheduler.JobRecord`
-  list already carries dispatch times) and one
+* **During the run** the scheduler touches only two O(1) surfaces: an
+  inline ``(job_id, start_s)`` append per dispatch and one
   :meth:`~FleetObs.sample` call per elapsed metrics window.  Nothing
   else runs in-loop, which is what keeps the measured
   enabled-vs-disabled overhead inside the ``check_bench`` ceiling.
 * **At the end of the run** the scheduler attaches its raw materials
-  (:meth:`~FleetObs.attach_scalar` / :meth:`~FleetObs.attach_streaming`
-  — references, no copies).  All span construction and metric folding
-  happens later, in :meth:`~FleetObs.export`, outside any timed
-  region.
+  (:meth:`~FleetObs.attach` — references, no copies).  All span
+  construction and metric folding happens later, in
+  :meth:`~FleetObs.export`, outside any timed region.
 
-Both attach paths normalize to the same per-job rows before emitting,
-so a scalar and a streaming run of the same trace — which the
-differential tests pin to identical dispatch schedules — produce
-*identical span sets*, and a multi-policy comparison can share one
-:class:`~repro.obs.trace.TraceRecorder` (each run gets its own trace
-process, named after its policy).
+Per-job rows are rebuilt from the trace arrays, the batched admission
+decisions and the dispatch sink.  A multi-policy comparison can share
+one :class:`~repro.obs.trace.TraceRecorder` (each run gets its own
+trace process, named after its policy).
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.budget import BatchAdmissionDecisions
     from repro.serve.faults import FaultEvent, FaultRun
     from repro.serve.job import TraceArrays
-    from repro.serve.scheduler import JobRecord
 
 #: Normalized job row: (job_id, tenant, model, arrival_s, status code,
 #: granted_steps, requested_steps, epsilon_after, start_s, finish_s).
@@ -66,8 +60,8 @@ class FleetObs:
         self.metrics = metrics
         self.window_s = metrics.window_s if metrics is not None \
             else window_s
-        #: Streaming-path dispatch sink: ``(job_id, start_s)`` appended
-        #: inline by the scheduler's dispatch loop.
+        #: Dispatch sink: ``(job_id, start_s)`` appended inline by the
+        #: scheduler's dispatch loop.
         self.dispatches: list[tuple[int, float]] = []
         #: Windowed load samples: ``(t, queued, idle, active, pending)``.
         self.samples: list[tuple[float, int, int, int, int]] = []
@@ -87,30 +81,18 @@ class FleetObs:
 
     # -- end-of-run attachment (references only, O(1)) ---------------------
 
-    def _attach(self, run: dict[str, Any]) -> None:
+    def attach(self, *, policy: str, trace: "TraceArrays",
+               decisions: "BatchAdmissionDecisions",
+               service: Any,
+               state: "AutoscalerState | None",
+               faults: "FaultRun | None" = None) -> None:
         if self._run is not None:
             raise RuntimeError(
                 "FleetObs already observed a run; use one instance per "
-                "simulate_fleet/simulate_fleet_streaming call")
-        self._run = run
-
-    def attach_scalar(self, *, policy: str,
-                      records: "list[JobRecord]",
-                      state: "AutoscalerState | None",
-                      faults: "FaultRun | None" = None) -> None:
-        self._attach({"mode": "scalar", "policy": policy,
-                      "records": records, "state": state,
-                      "faults": faults})
-
-    def attach_streaming(self, *, policy: str, trace: "TraceArrays",
-                         decisions: "BatchAdmissionDecisions",
-                         service: Any,
-                         state: "AutoscalerState | None",
-                         faults: "FaultRun | None" = None) -> None:
-        self._attach({"mode": "streaming", "policy": policy,
-                      "trace": trace, "decisions": decisions,
-                      "service": service, "state": state,
-                      "faults": faults})
+                "simulate_fleet_streaming call")
+        self._run = {"policy": policy, "trace": trace,
+                     "decisions": decisions, "service": service,
+                     "state": state, "faults": faults}
 
     # -- export ------------------------------------------------------------
 
@@ -124,16 +106,13 @@ class FleetObs:
         run = self._run
         policy: str = run["policy"]
         state: "AutoscalerState | None" = run["state"]
-        faults: "FaultRun | None" = run.get("faults")
+        faults: "FaultRun | None" = run["faults"]
         scale_events: "tuple[ScaleEvent, ...]" = \
             tuple(state.events) if state is not None else ()
         fault_events: "list[FaultEvent]" = \
             faults.events if faults is not None else []
-        if run["mode"] == "scalar":
-            rows: Iterable[Any] = _scalar_rows(run["records"])
-        else:
-            rows = _streaming_rows(run["trace"], run["decisions"],
-                                   run["service"], self.dispatches)
+        rows: Iterable[Any] = _job_rows(run["trace"], run["decisions"],
+                                        run["service"], self.dispatches)
         if self.recorder is not None and self.metrics is not None:
             rows = list(rows)
         if self.recorder is not None:
@@ -144,32 +123,18 @@ class FleetObs:
                           scale_events, fault_events)
 
 
-def _scalar_rows(records: "list[JobRecord]") -> "Iterator[Any]":
-    from repro.serve.budget import AdmissionStatus
+def _job_rows(trace: "TraceArrays",
+              decisions: "BatchAdmissionDecisions",
+              service: Any,
+              dispatches: "list[tuple[int, float]]"
+              ) -> "Iterator[Any]":
+    """Reconstruct per-job rows from the run's arrays.
 
-    code = {AdmissionStatus.ADMITTED: 0, AdmissionStatus.TRUNCATED: 1,
-            AdmissionStatus.REJECTED: 2}
-    for rec in records:
-        yield (rec.job.job_id, rec.job.tenant, rec.job.model,
-               float(rec.job.arrival_s), code[rec.decision.status],
-               int(rec.decision.granted_steps), int(rec.job.steps),
-               float(rec.decision.epsilon_after),
-               rec.start_s, rec.finish_s)
-
-
-def _streaming_rows(trace: "TraceArrays",
-                    decisions: "BatchAdmissionDecisions",
-                    service: Any,
-                    dispatches: "list[tuple[int, float]]"
-                    ) -> "Iterator[Any]":
-    """Reconstruct per-job rows from the streaming run's arrays.
-
-    The streaming loop never materializes job records — its completion
-    heap holds only times — so lifecycles are rebuilt here: arrival
-    and admission from the trace + batched decisions, dispatch from
-    the inline sink, completion as ``start + service`` (bitwise the
-    float the loop pushed onto its heap, so spans match the scalar
-    simulator's exactly).
+    The event loop never materializes job records, so lifecycles are
+    rebuilt here: arrival and admission from the trace + batched
+    decisions, dispatch from the inline sink (a retried job's last
+    dispatch), completion as ``start + service`` (bitwise the float the
+    loop pushed onto its heap on fault-free runs).
     """
     starts: dict[int, float] = dict(dispatches)
     for job in range(len(trace)):

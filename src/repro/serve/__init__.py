@@ -41,17 +41,13 @@ from repro.serve.job import (
 from repro.serve.metrics import (
     FleetReport,
     TenantUsage,
-    build_report,
     build_streaming_report,
     percentile,
 )
 from repro.serve.scheduler import (
     POLICIES,
     FleetConfig,
-    JobRecord,
-    predict_step_seconds,
     predict_step_seconds_batch,
-    simulate_fleet,
     simulate_fleet_streaming,
 )
 from repro.serve.stream import P2Quantile, StreamingStats
@@ -83,14 +79,10 @@ __all__ = [
     "BatchAdmissionDecisions",
     "POLICIES",
     "FleetConfig",
-    "JobRecord",
-    "predict_step_seconds",
     "predict_step_seconds_batch",
-    "simulate_fleet",
     "simulate_fleet_streaming",
     "FleetReport",
     "TenantUsage",
-    "build_report",
     "build_streaming_report",
     "percentile",
     "P2Quantile",

@@ -5,14 +5,11 @@ load once arrivals outpace capacity (``BENCH_serve.json`` records ~80%
 rejects at the benchmark's arrival rate), which makes the *reactive*
 regime the interesting one: a real operator adds clusters when the
 queue builds and retires them when they fall idle.  This module is
-that reactive controller, written once and shared **verbatim** by both
-fleet simulators — the record-keeping :func:`~repro.serve.scheduler.
-simulate_fleet` and the array-backed :func:`~repro.serve.scheduler.
-simulate_fleet_streaming` drive one :class:`AutoscalerState` through
-the identical sequence of observations, so their scale decisions (and
-the resulting dispatch schedules) are decision-identical by
-construction.  ``tests/test_serve_streaming.py`` pins that equivalence
-on 10k-job traces.
+that reactive controller: the fleet simulator
+(:func:`~repro.serve.scheduler.simulate_fleet_streaming`) drives one
+:class:`AutoscalerState` through its observations, and
+``tests/data/golden_fleet_zero_fault.json`` pins the resulting scale
+events and dispatch schedules.
 
 Model:
 
@@ -158,16 +155,15 @@ class ScaleEvent:
 
 
 class AutoscalerState:
-    """Mutable per-run scaling state shared by both event loops.
+    """Mutable per-run scaling state driven by the fleet event loop.
 
-    The loops own event ordering and dispatch; this object owns the
+    The loop owns event ordering and dispatch; this object owns the
     capacity ledger: how many clusters are active, which activation
     times are pending, the wait-percentile signal, the scale-event log
-    and the chip-hour integral.  Both simulators drive it through the
-    same call sequence — ``record_wait`` per dispatch, ``decide`` per
-    settled event, ``activate_one`` per provision event,
-    ``finalize`` at the end — which is what makes their scale
-    decisions identical.
+    and the chip-hour integral.  The loop drives it through one call
+    sequence — a ``waits.add`` per dispatch, ``decide`` per settled
+    event, ``activate_one`` per provision event, ``finalize`` at the
+    end.
     """
 
     __slots__ = ("policy", "chips_per_cluster", "min_clusters", "active",
@@ -190,8 +186,8 @@ class AutoscalerState:
         #: Min-heap of pending activation times.
         self.pending: list[float] = []
         self.events: list[ScaleEvent] = []
-        #: Queueing-wait stream, fed in dispatch order.  The streaming
-        #: simulator shares this object with its metric accumulator.
+        #: Queueing-wait stream, fed in dispatch order.  The simulator
+        #: shares this object with its metric accumulator.
         self.waits = StreamingStats()
         self._last_scale_s = -math.inf
         self._chip_seconds = 0.0
@@ -229,12 +225,6 @@ class AutoscalerState:
     @property
     def cost(self) -> float:
         return self.chip_hours * self.policy.chip_cost_per_hour
-
-    # -- signals -----------------------------------------------------------
-
-    def record_wait(self, wait_s: float) -> None:
-        """Fold one dispatch's queueing wait into the p99 signal."""
-        self.waits.add(float(wait_s))
 
     # -- the decision ------------------------------------------------------
 

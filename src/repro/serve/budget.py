@@ -96,9 +96,8 @@ class BatchAdmissionDecisions:
 
     ``status`` uses the integer codes below; ``epsilon_after`` is the
     tenant's cumulative spend once the job's grant is reserved (the
-    scalar decision's ``epsilon_after``), which the streaming
-    scheduler's budget policy reads as the tenant's position at each
-    arrival.
+    scalar decision's ``epsilon_after``), which the scheduler's budget
+    policy reads as the tenant's position at each arrival.
     """
 
     ADMITTED = 0

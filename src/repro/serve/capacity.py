@@ -4,7 +4,7 @@ The serving study replays traces on a *given* fleet; a fleet operator
 asks the inverse question — "how many clusters do I need so that T
 jobs/s complete with a p99 queueing wait under X seconds, with every
 tenant held to its (epsilon, delta) budget?".  :func:`plan_capacity`
-answers it by driving the array-backed streaming simulator
+answers it by driving the array-backed fleet simulator
 (:func:`~repro.serve.scheduler.simulate_fleet_streaming`) over a
 bracketing search: geometric doubling until a fleet is feasible, then
 bisection down to the smallest one that still is.

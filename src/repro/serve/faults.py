@@ -1,15 +1,15 @@
-"""Seeded fault injection for the fleet simulators.
+"""Seeded fault injection for the fleet simulator.
 
-Real fleets lose chips.  This module gives the serving simulators a
+Real fleets lose chips.  This module gives the serving simulator a
 failure model that is **deterministic by construction**: every random
 quantity — time-to-failure, straggler slowdown, blast radius, repair
 downtime, the degrade-vs-requeue preference — is a pure function of
 ``(seed, job_id, attempt)`` through a splitmix64-style counter hash.
 No RNG object is ever constructed and no call-order state exists, so
-:func:`~repro.serve.scheduler.simulate_fleet` and
-:func:`~repro.serve.scheduler.simulate_fleet_streaming` draw the exact
-same failure schedule even though they walk the trace with different
-data structures (lint rule R008 pins consumers to this stream).
+a job's failures do not depend on the order the scheduler dispatches
+it in, and every re-run of
+:func:`~repro.serve.scheduler.simulate_fleet_streaming` draws the same
+failure schedule (lint rule R008 pins consumers to this stream).
 
 The pieces:
 
@@ -21,9 +21,9 @@ The pieces:
     repair downtime; capped exponential retry backoff.
 
 :class:`FaultRun`
-    The per-simulation state machine both event loops drive through an
-    identical call sequence — :meth:`FaultRun.begin_attempt` per
-    dispatch.  It owns checkpoint amortization (cadence from the
+    The per-simulation state machine the event loop drives through
+    one call per dispatch — :meth:`FaultRun.begin_attempt`.  It owns
+    checkpoint amortization (cadence from the
     :class:`~repro.training.simulate.CheckpointConfig`, Young/Daly
     when unset), the crash ledger transactions
     (:meth:`~repro.serve.budget.AdmissionController.reprice_steps` /
@@ -191,8 +191,8 @@ class FaultModel:
     """Keyed draws from :class:`FaultConfig`'s distributions.
 
     Stateless: every method is a pure function of its arguments and
-    the config, so the two fleet simulators (and any re-run) observe
-    identical failures without sharing any mutable object.
+    the config, so every run (and any re-run) observes identical
+    failures without sharing any mutable object.
     """
 
     __slots__ = ("config", "_chip_scale_s")
@@ -303,10 +303,9 @@ class _JobState:
 class FaultRun:
     """Failure bookkeeping one simulation drives through its dispatches.
 
-    Both event loops call :meth:`begin_attempt` once per dispatch with
-    identical arguments in identical order, so every counter, ledger
-    transaction and outcome below is decision-identical between the
-    scalar and streaming simulators.
+    The event loop calls :meth:`begin_attempt` once per dispatch; every
+    counter, ledger transaction and outcome below follows from that
+    call sequence.
 
     The step-count ledger per job is ``target = done + reserved``:
     ``done`` steps executed *and checkpointed*, ``reserved`` steps
@@ -322,7 +321,7 @@ class FaultRun:
     admission: "AdmissionController"
     cache: "runner.ResultCache | None" = None
 
-    # -- outcome counters (identical across both simulators) --
+    # -- outcome counters --
     completed: int = 0
     truncated: int = 0
     failed: int = 0

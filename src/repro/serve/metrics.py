@@ -1,6 +1,6 @@
 """Fleet-level serving metrics: latency percentiles, utilization, budgets.
 
-The scheduler hands this module its finished per-job records plus the
+The scheduler hands this module its streaming accumulators plus the
 admission controller, and gets back a :class:`FleetReport` — the
 JSON-serializable summary the ``serve`` experiment renders: throughput,
 queueing-latency percentiles, chip utilization, admission tallies, and
@@ -18,7 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.autoscale import AutoscalerState, ScaleEvent
     from repro.serve.budget import AdmissionController
     from repro.serve.faults import FaultRun
-    from repro.serve.scheduler import JobRecord
     from repro.serve.stream import StreamingStats
 
 
@@ -98,7 +97,6 @@ class FleetReport:
     wait_p95_s: float
     wait_p99_s: float
     tenants: tuple[TenantUsage, ...]
-    records: tuple[JobRecord, ...] = ()
     scale_events: tuple[ScaleEvent, ...] = ()
     peak_clusters: int = 0
     chip_hours: float = 0.0
@@ -120,7 +118,7 @@ class FleetReport:
         raise KeyError(f"unknown tenant {name!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable summary (per-job records excluded)."""
+        """JSON-serializable summary."""
         data: dict[str, Any] = {
             "policy": self.policy,
             "chips": self.chips,
@@ -274,16 +272,13 @@ def build_streaming_report(
     admission: "AdmissionController",
     autoscale: "AutoscalerState | None" = None,
     faults: "FaultRun | None" = None,
-    records: "tuple[JobRecord, ...]" = (),
 ) -> FleetReport:
-    """Fold streaming accumulators into a :class:`FleetReport`.
+    """Fold the scheduler's accumulators into a :class:`FleetReport`.
 
-    The O(1)-memory counterpart of :func:`build_report`: ``waits`` is
-    the scheduler's :class:`~repro.serve.stream.StreamingStats` over
-    queueing delays (its percentiles are exact for small traces, P²
-    estimates past the warmup), and no per-job records are attached
-    unless the caller supplies them (the scalar simulator does when
-    faults are on, since both loops then share this builder).
+    ``waits`` is the scheduler's
+    :class:`~repro.serve.stream.StreamingStats` over queueing delays
+    (its percentiles are exact for small traces, P² estimates past the
+    warmup).
 
     ``faults`` (a finished :class:`~repro.serve.faults.FaultRun`)
     switches on the failure block: goodput, wasted and repair
@@ -336,46 +331,5 @@ def build_streaming_report(
         wait_p95_s=waits.quantile(0.95),
         wait_p99_s=waits.quantile(0.99),
         tenants=tenant_usages(admission),
-        records=records,
     )
 
-
-def build_report(
-    policy: str,
-    chips: int,
-    n_clusters: int,
-    chips_per_cluster: int,
-    records: "Sequence[JobRecord]",
-    admission: "AdmissionController",
-    autoscale: "AutoscalerState | None" = None,
-) -> FleetReport:
-    """Fold finished job records + the budget ledger into a report."""
-    finished = [r for r in records if r.finish_s is not None]
-    waits = [r.wait_s for r in finished]
-    makespan = max((r.finish_s for r in finished
-                    if r.finish_s is not None), default=0.0)
-    busy = sum(r.service_s for r in finished)
-    utilization = _utilization(busy, n_clusters, makespan, autoscale)
-    throughput = (len(finished) / makespan * 3600.0) if makespan > 0 else 0.0
-    tenants = tenant_usages(admission)
-    return FleetReport(
-        **_scale_fields(autoscale, n_clusters),
-        policy=policy,
-        chips=chips,
-        n_clusters=n_clusters,
-        chips_per_cluster=chips_per_cluster,
-        submitted=len(records),
-        completed=len(finished),
-        truncated=sum(
-            1 for r in finished
-            if r.decision.granted_steps < r.job.steps),
-        rejected=sum(1 for r in records if not r.decision.admitted),
-        makespan_s=makespan,
-        throughput_jobs_per_h=throughput,
-        utilization=utilization,
-        wait_p50_s=percentile(waits, 50),
-        wait_p95_s=percentile(waits, 95),
-        wait_p99_s=percentile(waits, 99),
-        tenants=tenants,
-        records=tuple(records),
-    )

@@ -1,7 +1,7 @@
 """Streaming (O(1)-memory) metric accumulators for the fleet simulator.
 
 Million-job traces cannot afford per-job metric lists: this module
-provides the constant-space accumulators the streaming scheduler
+provides the constant-space accumulators the scheduler
 (:func:`repro.serve.scheduler.simulate_fleet_streaming`) folds each
 job into as it dispatches —
 
@@ -222,7 +222,8 @@ class StreamingStats:
     def quantile(self, p: float) -> float:
         """Streaming estimate of the ``p`` quantile of the full stream.
 
-        Exact while the warmup buffer is alive; P²-approximate after.
+        Exact while the warmup buffer is alive; P²-approximate after,
+        and then nondecreasing across the tracked ``p``.
         Only the quantiles named at construction are answerable — the
         markers exist per target — and that contract holds in both
         regimes (the warmup buffer could answer any ``p``, but
@@ -241,9 +242,14 @@ class StreamingStats:
                 return 0.0
             positives = sorted(self._buffer)
             return float(positives[int(rank) - self.zeros - 1])
-        if p * self.count <= self.zeros:
-            return 0.0
-        return self._estimators[p].value()
+        # The P² markers of different targets move independently and
+        # can cross on non-stationary streams; answering from the
+        # sorted estimates keeps quantiles nondecreasing in p.
+        estimates = sorted(
+            0.0 if target * self.count <= self.zeros
+            else estimator.value()
+            for target, estimator in self._items)
+        return estimates[sorted(self._estimators).index(p)]
 
     def to_dict(self) -> dict[str, float]:
         """JSON summary: count / mean / max plus every tracked quantile.

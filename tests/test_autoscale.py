@@ -143,7 +143,7 @@ class TestDecisionRule:
                                   target_p99_wait_s=5.0, cooldown_s=0.0)
         state = self._state(policy)
         for _ in range(50):
-            state.record_wait(60.0)
+            state.waits.add(60.0)
         assert state.decide(100.0, queued=1, idle=0) == 1
         assert state.events[0].reason == "p99_wait"
 

