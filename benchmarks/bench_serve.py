@@ -12,6 +12,12 @@ observability (``repro.obs.FleetObs`` tracing + metrics) attached and
 records the in-loop overhead ratio against the uninstrumented run;
 ``tools/check_bench.py`` caps it at ``OVERHEAD_CEILING`` so the
 zero-overhead-when-disabled contract cannot silently erode.
+
+Every point records ``dispatched`` jobs and ``dispatched_per_sec``
+(most of a budget-bound trace is refused at admission, so jobs/s alone
+overstates the scheduling work), and the static points split their
+wall time into trace / admission / simulate stages through
+:class:`repro.obs.Profiler`.
 """
 
 import json
@@ -20,7 +26,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.obs import FleetObs, MetricsRegistry, TraceRecorder
+from repro.obs import FleetObs, MetricsRegistry, Profiler, TraceRecorder
 from repro.serve import (
     AdmissionController,
     AutoscalerPolicy,
@@ -63,17 +69,21 @@ def test_streaming_serve_throughput(capsys):
                                   provision_delay_s=30.0,
                                   cooldown_s=30.0)))
     for jobs, autoscaler in runs:
+        profiler = Profiler(f"serve-{jobs}")
         start = time.perf_counter()
-        trace = generate_trace_arrays(TraceConfig(
-            jobs=jobs, seed=7, mean_interarrival_s=MEAN_INTERARRIVAL_S))
+        with profiler.stage("trace"):
+            trace = generate_trace_arrays(TraceConfig(
+                jobs=jobs, seed=7, mean_interarrival_s=MEAN_INTERARRIVAL_S))
         admission = AdmissionController(TenantBudget(epsilon=3.0))
-        decisions = admission.admit_batch(trace)
+        with profiler.stage("admission"):
+            decisions = admission.admit_batch(trace)
         fleet = FleetConfig(chips=16) if autoscaler is None \
             else FleetConfig(chips=4)
-        report = simulate_fleet_streaming(
-            trace, fleet, policy="fifo",
-            admission=admission, decisions=decisions,
-            autoscaler=autoscaler)
+        with profiler.stage("simulate"):
+            report = simulate_fleet_streaming(
+                trace, fleet, policy="fifo",
+                admission=admission, decisions=decisions,
+                autoscaler=autoscaler)
         wall = time.perf_counter() - start
 
         # Every job accounted for.
@@ -90,6 +100,11 @@ def test_streaming_serve_throughput(capsys):
             "autoscale": autoscaler is not None,
             "wall_seconds": wall,
             "jobs_per_sec": jobs / wall,
+            "dispatched": report.completed,
+            "dispatched_per_sec": report.completed / wall,
+            "stage_seconds": {
+                stage: profiler.stage_seconds(stage)
+                for stage in ("trace", "admission", "simulate")},
             "peak_rss_mb": _peak_rss_mb(),
             "completed": report.completed,
             "rejected": report.rejected,
@@ -144,6 +159,8 @@ def test_streaming_serve_throughput(capsys):
         "export_seconds": export_wall,
         "trace_events": len(obs.recorder.events),
         "jobs_per_sec": jobs / instrumented_wall,
+        "dispatched": len(obs.dispatches),
+        "dispatched_per_sec": len(obs.dispatches) / instrumented_wall,
         "peak_rss_mb": _peak_rss_mb(),
     })
 
@@ -154,20 +171,25 @@ def test_streaming_serve_throughput(capsys):
     # checkpoint restarts, backed-off retries).  ``tools/check_bench.py``
     # floors the faulty jobs/s and caps the zero-failure overhead
     # ratio, so neither the fault branch of the event loop nor the
-    # clean-run tax can silently regress.
+    # clean-run tax can silently regress.  The zero-failure run is
+    # best-of-3 like the plain run it is divided by.
     fault_walls = {}
     fault_report = None
-    for tag, mtbf_hours in (("zero_failure", 1e9), ("faulty", 2.0)):
+    for tag, mtbf_hours, repeats in (("zero_failure", 1e9, 3),
+                                     ("faulty", 2.0, 1)):
         faults = FaultModel(FaultConfig(
             mtbf_hours=mtbf_hours, repair_hours=0.05,
             degrade_fraction=0.5, seed=11))
-        admission = AdmissionController(admission_budget)
-        decisions = admission.admit_batch(trace)
-        start = time.perf_counter()
-        report = simulate_fleet_streaming(
-            trace, fleet, policy="fifo",
-            admission=admission, decisions=decisions, faults=faults)
-        fault_walls[tag] = time.perf_counter() - start
+        fault_walls[tag] = float("inf")
+        for _ in range(repeats):
+            admission = AdmissionController(admission_budget)
+            decisions = admission.admit_batch(trace)
+            start = time.perf_counter()
+            report = simulate_fleet_streaming(
+                trace, fleet, policy="fifo",
+                admission=admission, decisions=decisions, faults=faults)
+            fault_walls[tag] = min(fault_walls[tag],
+                                   time.perf_counter() - start)
         assert report.completed + report.failed + report.rejected == jobs
         if tag == "faulty":
             fault_report = report
@@ -175,12 +197,18 @@ def test_streaming_serve_throughput(capsys):
         else:
             assert report.failed == 0 and report.retries == 0
     fault_overhead = fault_walls["zero_failure"] / plain_wall
+    # Every attempt is one dispatch: first attempts of the jobs that
+    # ran, plus one per retry.
+    fault_dispatched = (fault_report.completed + fault_report.failed
+                        + fault_report.retries)
     points.append({
         "jobs": jobs,
         "autoscale": False,
         "faults": True,
         "wall_seconds": fault_walls["faulty"],
         "jobs_per_sec": jobs / fault_walls["faulty"],
+        "dispatched": fault_dispatched,
+        "dispatched_per_sec": fault_dispatched / fault_walls["faulty"],
         "zero_failure_wall_seconds": fault_walls["zero_failure"],
         "fault_overhead_ratio": fault_overhead,
         "failed": fault_report.failed,
@@ -206,7 +234,8 @@ def test_streaming_serve_throughput(capsys):
                 tag += " faulty"
             print(f"\nserve streaming — {point['jobs']:,}{tag} jobs in "
                   f"{point['wall_seconds']:.2f}s "
-                  f"({point['jobs_per_sec']:,.0f} jobs/s, peak RSS "
+                  f"({point['jobs_per_sec']:,.0f} jobs/s, "
+                  f"{point['dispatched_per_sec']:,.0f} dispatched/s, peak RSS "
                   f"{point['peak_rss_mb']:.0f} MB) -> {BENCH_JSON.name}")
         print(f"serve streaming — observability in-loop overhead "
               f"{overhead:.3f}x, export {export_wall:.1f}s for "

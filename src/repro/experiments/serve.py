@@ -79,9 +79,10 @@ def run(
 
     ``policies=None`` compares every policy in
     :data:`repro.serve.scheduler.POLICIES`.  Every policy replays the
-    *same* trace; step latencies are memoized across policies (and
-    persisted when a cache is given), so the sweep costs one set of
-    closed-form simulations regardless of policy count.  Fault-free
+    *same* trace; step latencies are memoized across policies (in
+    process by :func:`repro.serve.predict_step_seconds_batch`, and
+    persisted when a cache is given), so the sweep costs one batched
+    closed-form pricing regardless of policy count.  Fault-free
     runs also share one admission pass across policies — admission
     happens at arrival and is therefore policy-invariant.
 

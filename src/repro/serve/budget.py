@@ -37,7 +37,7 @@ from repro.dpml.accountant import (
     max_steps_for_budget,
     rdp_to_epsilon,
 )
-from repro.serve.job import TraceArrays, TrainingJob
+from repro.serve.job import TraceArrays, TrainingJob, lex_unique
 
 #: Jobs per chunk of the batched admission prefix pass — bounds the
 #: cumulative-RDP scratch matrix regardless of trace length.
@@ -302,10 +302,8 @@ class AdmissionController:
             return BatchAdmissionDecisions(status, granted, eps_after)
 
         is_private = trace.is_private
-        pairs = np.stack([trace.sampling_rate, trace.noise_multiplier],
-                         axis=1)
-        unique_pairs, class_of = np.unique(pairs, axis=0,
-                                           return_inverse=True)
+        unique_pairs, class_of = lex_unique(trace.sampling_rate,
+                                            trace.noise_multiplier)
         per_step_table = np.stack([
             np.array(_single_step_rdp(float(q), float(sigma), self.orders))
             for q, sigma in unique_pairs])
@@ -471,9 +469,8 @@ class AdmissionController:
                 eps_after[seg] = spent
                 tally["admitted"] += total - pos
                 return
-            keys = np.stack([classes[rem_priv], steps[rem_priv]], axis=1)
-            unique_keys, inverse = np.unique(keys, axis=0,
-                                             return_inverse=True)
+            unique_keys, inverse = lex_unique(classes[rem_priv],
+                                              steps[rem_priv])
             rdp_full = (ledger + unique_keys[:, 1][:, None]
                         * per_step_table[unique_keys[:, 0]])
             eps_full = np.where(

@@ -43,6 +43,7 @@ no matter how crashes and retries interleave.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -85,13 +86,19 @@ def _mix64(value: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+#: ``_mix64`` of the key parts that take few values in a run (seed,
+#: attempt, stream), memoized: the hash costs one Python big-int
+#: round per part on every draw.
+_mix64_few = functools.lru_cache(maxsize=256)(_mix64)
+
+
 def _keyed_uniform(seed: int, job_id: int, attempt: int,
                    stream: int) -> float:
     """Uniform in (0, 1), a pure function of its key — no RNG state."""
-    h = _mix64(seed)
+    h = _mix64_few(seed)
     h = _mix64(h ^ _mix64(job_id))
-    h = _mix64(h ^ _mix64(attempt))
-    h = _mix64(h ^ _mix64(stream))
+    h = _mix64(h ^ _mix64_few(attempt))
+    h = _mix64(h ^ _mix64_few(stream))
     # 53 mantissa bits, offset half an ulp: never exactly 0 or 1, so
     # log() below is always finite.
     return ((h >> 11) + 0.5) * (2.0 ** -53)

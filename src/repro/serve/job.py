@@ -320,6 +320,35 @@ class TraceArrays:
         )
 
 
+def lex_unique(*columns: NDArray[Any]) -> tuple[NDArray[Any], NDArray[Any]]:
+    """Unique rows of equal-length NaN-free columns, and the inverse.
+
+    Returns what ``np.unique(np.stack(columns, 1), axis=0,
+    return_inverse=True)`` returns — the same lexicographic row order
+    and the same 1-D inverse — without its row-wise sort.  Each column
+    is coded by a 1-D :func:`numpy.unique` and the codes fold into one
+    int64 key, re-densified after every column so the packed key stays
+    below ``n ** 2`` for ``n`` input rows and cannot overflow.  As in
+    :func:`numpy.unique`, ``-0.0`` and ``0.0`` are one value (the row
+    may carry either sign).
+    """
+    if not columns:
+        raise ValueError("lex_unique needs at least one column")
+    values, key = np.unique(columns[0], return_inverse=True)
+    n_keys = len(values)
+    for column in columns[1:]:
+        values, codes = np.unique(column, return_inverse=True)
+        packed, key = np.unique(key * len(values) + codes,
+                                return_inverse=True)
+        n_keys = len(packed)
+    # Any member of a row class holds that row's values.
+    member = np.empty(n_keys, dtype=np.intp)
+    member[key] = np.arange(len(key))
+    rows = np.stack([np.asarray(column)[member] for column in columns],
+                    axis=1)
+    return rows, key
+
+
 def _thinned_arrivals_array(config: TraceConfig, rng: np.random.Generator,
                             jobs: int, *, base_hz: float, phase: float
                             ) -> NDArray[Any]:

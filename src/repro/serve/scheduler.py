@@ -34,6 +34,8 @@ deterministic given a trace and a policy.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -47,7 +49,7 @@ from repro.experiments import runner
 from repro.serve.autoscale import AutoscalerPolicy, AutoscalerState
 from repro.serve.budget import AdmissionController, BatchAdmissionDecisions
 from repro.serve.faults import FaultModel, FaultRun
-from repro.serve.job import TraceArrays
+from repro.serve.job import TraceArrays, lex_unique
 from repro.serve.metrics import FleetReport, build_streaming_report
 from repro.serve.stream import StreamingStats
 
@@ -130,6 +132,35 @@ class FleetConfig:
         return self.chips_per_cluster // (self.pp * self.tp)
 
 
+def _price_configs(fleet: FleetConfig,
+                   work: Sequence[tuple[str, str, int]]) -> list[float]:
+    """One :func:`repro.training.sharded_step_batch` call over ``work``."""
+    from repro.training.batch import sharded_step_batch
+
+    if not work:
+        return []
+    models, algorithms, batches = zip(*work)
+    result = sharded_step_batch(
+        list(models), list(algorithms),
+        np.array(batches, dtype=np.int64),
+        fleet.chips_per_cluster,
+        topologies=fleet.topology,
+        bucket_bytes=fleet.bucket_bytes,
+        chips_per_node=(fleet.chips_per_node
+                        if fleet.topology == "hierarchical" else 1),
+        overlaps=fleet.overlap, kinds=fleet.kind,
+        pps=fleet.pp, tps=fleet.tp, fabrics=fleet.fabric)
+    return [float(value) for value in result.total_seconds]
+
+
+@functools.lru_cache(maxsize=64)
+def _memo_step_seconds(fleet: FleetConfig,
+                       work: tuple[tuple[str, str, int], ...]
+                       ) -> tuple[float, ...]:
+    """In-process memo of :func:`_price_configs` (uncached callers)."""
+    return tuple(_price_configs(fleet, work))
+
+
 def predict_step_seconds_batch(
     fleet: FleetConfig,
     models: Sequence[str],
@@ -142,31 +173,22 @@ def predict_step_seconds_batch(
     One :func:`repro.training.sharded_step_batch` call prices every
     cache-missing config (``batches`` must already be rounded to the
     cluster width); hits come from the experiment runner's JSON cache.
+    Without a cache (neither ``cache`` nor ``REPRO_CACHE_DIR``), a
+    bounded in-process memo keyed by the fleet and the config tuple
+    answers repeats, e.g. every policy of one trace.
     The batched engine is pinned bitwise-equal to the scalar
     :func:`repro.training.simulate_sharded_training_step`.
     """
-    from repro.training.batch import sharded_step_batch
-
-    work = list(zip(models, algorithms, batches))
-
-    def price(missing: list[tuple[str, str, int]]) -> list[float]:
-        if not missing:
-            return []
-        miss_models, miss_algorithms, miss_batches = zip(*missing)
-        result = sharded_step_batch(
-            list(miss_models), list(miss_algorithms),
-            np.array(miss_batches, dtype=np.int64),
-            fleet.chips_per_cluster,
-            topologies=fleet.topology,
-            bucket_bytes=fleet.bucket_bytes,
-            chips_per_node=(fleet.chips_per_node
-                            if fleet.topology == "hierarchical" else 1),
-            overlaps=fleet.overlap, kinds=fleet.kind,
-            pps=fleet.pp, tps=fleet.tp, fabrics=fleet.fabric)
-        return [float(value) for value in result.total_seconds]
-
+    work = tuple((str(model), str(algorithm), int(batch))
+                 for model, algorithm, batch
+                 in zip(models, algorithms, batches))
+    if cache is None:
+        cache = runner.default_cache()
+    if cache is None:
+        return np.array(_memo_step_seconds(fleet, work), dtype=float)
     seconds = runner.cached_batch(
-        price, work, cache=cache,
+        lambda missing: _price_configs(fleet, missing), list(work),
+        cache=cache,
         key_fn=lambda item: {
             "experiment": "serve-step", "kind": fleet.kind,
             "chips_per_cluster": fleet.chips_per_cluster,
@@ -192,8 +214,7 @@ def _job_step_table(
     """
     width = fleet.dp
     rounded = np.ceil(trace.batch / width).astype(np.int64) * width
-    configs = np.stack([trace.model, trace.algorithm, rounded], axis=1)
-    unique, inverse = np.unique(configs, axis=0, return_inverse=True)
+    unique, inverse = lex_unique(trace.model, trace.algorithm, rounded)
     table = predict_step_seconds_batch(
         fleet,
         [trace.models[int(row[0])] for row in unique],
@@ -228,10 +249,11 @@ def simulate_fleet_streaming(
     configuration always produce the identical report.  Admission
     decides the whole trace in one batched pass, service times come
     from one precomputed step-latency table, the loop walks the
-    arrival arrays directly, and metrics fold into streaming
-    accumulators — no per-job record is ever materialized.  Wait
-    percentiles are exact below the warmup size and P² estimates
-    beyond it (:class:`~repro.serve.stream.StreamingStats`).
+    admitted arrivals (every arrival under an autoscaler), and
+    metrics fold into streaming accumulators — no per-job record is
+    ever materialized.  Wait percentiles are exact below the warmup
+    size and P² estimates beyond it
+    (:class:`~repro.serve.stream.StreamingStats`).
 
     Pass ``decisions`` to reuse one admission pass across policies
     (admission happens at arrival, so it is policy-invariant); the
@@ -278,7 +300,6 @@ def simulate_fleet_streaming(
             for pos, row in enumerate(unique)])
         step = table[inverse]
         service = decisions.granted_steps * eff_table[inverse]
-        q_arr, private_arr = trace.sampling_rate, trace.is_private
     state = (AutoscalerState(autoscaler,
                              initial_clusters=fleet.n_clusters,
                              chips_per_cluster=fleet.chips_per_cluster)
@@ -288,48 +309,81 @@ def simulate_fleet_streaming(
     arrival = trace.arrival_s
     admitted = decisions.admitted
     granted = decisions.granted_steps
-    tenant_of = trace.tenant
     n_tenants = len(trace.tenants)
+
+    # Without an autoscaler the loop walks the admitted arrivals only.
+    # A refused arrival moves neither the queues nor the idle pool (and
+    # the dispatch loop leaves idle == 0 or queued == 0 after every
+    # event), and its epsilon_after repeats its tenant's previous one,
+    # which the budget key reads only while that tenant has an admitted
+    # job queued.  The autoscaler decides after every event, so it
+    # walks every arrival.  Queues and the pending heap hold walk
+    # positions (ordered like job ids); job ids surface only in the
+    # logs and the fault run.
+    walk = np.flatnonzero(admitted) if state is None else None
+    walk_job: Sequence[int] = range(total) if walk is None \
+        else walk.tolist()
+
+    def walked(values: NDArray[Any]) -> Any:
+        """``values`` per walk position (a list when skipping)."""
+        return values if walk is None else values[walk].tolist()
+
+    walk_arrival = walked(arrival)
+    walk_tenant = walked(trace.tenant)
+    walk_spent = walked(decisions.epsilon_after)
+    walk_service = walked(service)
+    walk_short = walked(granted < trace.steps)
+    n_walk = len(walk_job)
+    if frun is not None:
+        # Attempt inputs; the fault run takes each as a Python scalar.
+        walk_step = walked(step)
+        walk_granted = walked(granted)
+        walk_requested = walked(trace.steps)
+        walk_q = walked(trace.sampling_rate)
+        walk_sigma = walked(trace.noise_multiplier)
+        walk_private = walked(trace.is_private)
+        walk_model = walked(trace.model)
+        walk_algorithm = walked(trace.algorithm)
+        walk_batch = walked(trace.batch)
     # The budget policy ranks tenants by their spend as of their latest
     # arrival (the decision stream's epsilon_after), the ledger a
     # per-arrival controller would hold at dispatch time.
-    tenant_spent = np.zeros(n_tenants)
-    budget_eps = np.array([admission.budget_for(name).epsilon
-                           for name in trace.tenants], dtype=float)
+    tenant_spent = [0.0] * n_tenants
+    budget_eps = [admission.budget_for(name).epsilon
+                  for name in trace.tenants]
 
-    # Queues are min-heaps.  Arrivals are nondecreasing in the job
-    # index, so the index alone orders jobs by (arrival, job_id): fifo
-    # and the per-tenant budget queues hold bare indices, sjf holds
-    # (live remaining service, index).  A requeued job re-sorts by its
-    # original arrival.
+    # Queues are min-heaps.  Arrivals are nondecreasing in the walk
+    # position, so the position alone orders jobs by (arrival, job_id):
+    # fifo and the per-tenant budget queues hold bare positions, sjf
+    # holds (live remaining service, position).  A requeued job
+    # re-sorts by its original arrival.
     queue: list[Any] = []
     tenant_queues: list[list[int]] = [[] for _ in range(n_tenants)]
-    live: list[float] = service.tolist() if policy == "sjf" else []
+    live: Any = walk_service.copy() if policy == "sjf" else None
     queued = 0
 
-    def push(job: int) -> None:
+    def push(pos: int) -> None:
         if policy == "fifo":
-            heapq.heappush(queue, job)
+            heapq.heappush(queue, pos)
         elif policy == "sjf":
-            heapq.heappush(queue, (live[job], job))
+            heapq.heappush(queue, (live[pos], pos))
         else:
-            heapq.heappush(tenant_queues[tenant_of[job]], job)
+            heapq.heappush(tenant_queues[walk_tenant[pos]], pos)
 
     def pop() -> int:
         if policy == "fifo":
-            job: int = heapq.heappop(queue)
-            return job
+            pos: int = heapq.heappop(queue)
+            return pos
         if policy == "sjf":
             return int(heapq.heappop(queue)[1])
         best: int | None = None
-        best_key: tuple[float, float, int] | None = None
+        best_key: tuple[float, int] | None = None
         for tenant, backlog in enumerate(tenant_queues):
             if not backlog:
                 continue
-            head = backlog[0]
             remaining = max(0.0, 1.0 - tenant_spent[tenant]
                             / budget_eps[tenant])
-            key = (-remaining, float(arrival[head]), head)
+            key = (-remaining, backlog[0])
             if best_key is None or key < best_key:
                 best, best_key = tenant, key
         assert best is not None  # callers guarantee a queued job
@@ -338,11 +392,11 @@ def simulate_fleet_streaming(
     # When autoscaling, the metric accumulator IS the autoscaler's p99
     # signal — one object, fed once per dispatch.
     waits = state.waits if state is not None else StreamingStats()
-    # Completions, repairs and retries: (time, priority, seq, job).
+    # Completions, repairs and retries: (time, priority, seq, position).
     pending: list[tuple[float, int, int, int]] = []
     seq = 0
 
-    def attempt(job: int, now: float) -> None:
+    def attempt(pos: int, now: float) -> None:
         """Run one dispatched attempt under faults; queue its outcome.
 
         Pushes a completion, or a repair plus (when the job requeues)
@@ -351,36 +405,62 @@ def simulate_fleet_streaming(
         """
         nonlocal seq
         assert frun is not None
-        model_name = trace.models[int(trace.model[job])]
-        waits.add(float(now - frun.ready_s(job, float(arrival[job]))))
+        job = walk_job[pos]
+        model_name = trace.models[int(walk_model[pos])]
+        waits.add(float(now - frun.ready_s(job, float(walk_arrival[pos]))))
         outcome = frun.begin_attempt(
             job, now,
-            step_s=float(step[job]),
-            granted=int(granted[job]),
-            requested=int(trace.steps[job]),
-            tenant=trace.tenants[int(tenant_of[job])],
-            sampling_rate=float(q_arr[job]),
-            noise_multiplier=float(trace.noise_multiplier[job]),
-            private=bool(private_arr[job]),
+            step_s=float(walk_step[pos]),
+            granted=int(walk_granted[pos]),
+            requested=int(walk_requested[pos]),
+            tenant=trace.tenants[int(walk_tenant[pos])],
+            sampling_rate=float(walk_q[pos]),
+            noise_multiplier=float(walk_sigma[pos]),
+            private=bool(walk_private[pos]),
             model_name=model_name,
-            algorithm=trace.algorithms[int(trace.algorithm[job])],
-            batch=int(trace.batch[job]))
+            algorithm=trace.algorithms[int(walk_algorithm[pos])],
+            batch=int(walk_batch[pos]))
         if outcome.completed:
             heapq.heappush(pending,
-                           (outcome.free_s, _PRIO_COMPLETION, seq, job))
+                           (outcome.free_s, _PRIO_COMPLETION, seq, pos))
             seq += 1
             return
-        heapq.heappush(pending, (outcome.free_s, _PRIO_REPAIR, seq, job))
+        heapq.heappush(pending, (outcome.free_s, _PRIO_REPAIR, seq, pos))
         seq += 1
         if outcome.retry_s is not None:
             if policy == "sjf":
                 # The retry re-keys by the service its remaining
                 # reservation needs.
-                live[job] = frun.remaining_steps(job, int(granted[job])) \
+                live[pos] = frun.remaining_steps(
+                    job, int(walk_granted[pos])) \
                     * frun.effective_step_seconds(model_name,
-                                                  float(step[job]))
-            heapq.heappush(pending, (outcome.retry_s, _PRIO_RETRY, seq, job))
+                                                  float(walk_step[pos]))
+            heapq.heappush(pending, (outcome.retry_s, _PRIO_RETRY, seq, pos))
             seq += 1
+
+    def sample_refused(until: float, index: int, queued: int,
+                       idle: int) -> float:
+        """Take the load samples skipped refused arrivals would have
+        taken up to ``until``, each at its arrival time; return the
+        next sampling deadline.
+
+        In an every-arrival walk the first arrival at or after the
+        deadline takes the sample.  Every arrival up to the last
+        walked one came before it, so it lies between that arrival
+        and the next walked one (``index``); if it is a refused one
+        that precedes the next loop event, it saw the fleet exactly as
+        the last event left it.
+        """
+        assert obs is not None
+        lo = walk_job[index - 1] + 1 if index else 0
+        hi = walk_job[index] if index < n_walk else total
+        while obs.next_sample_s <= until:
+            lo = bisect.bisect_left(arrival, obs.next_sample_s, lo, hi)
+            if lo == hi or arrival[lo] > until:
+                break
+            obs.sample(float(arrival[lo]), queued, idle,
+                       fleet.n_clusters, 0)
+        return obs.next_sample_s
 
     # Pre-bound dispatch sink: one local-None check per dispatch when
     # observability is off, one list append when it is on.  The
@@ -388,6 +468,7 @@ def simulate_fleet_streaming(
     # the per-event guard stays one float compare either way.
     obs_dispatch = obs.dispatches.append if obs is not None else None
     obs_next_sample_s = obs.next_sample_s if obs is not None else math.inf
+    catch_up = obs is not None and walk is not None
     idle = fleet.n_clusters
     busy_s = 0.0
     completed = 0
@@ -396,19 +477,23 @@ def simulate_fleet_streaming(
     index = 0
     now = 0.0
 
-    while index < total or pending \
+    while index < n_walk or pending \
             or (state is not None and state.pending):
-        t_arrival = arrival[index] if index < total else math.inf
+        t_arrival = walk_arrival[index] if index < n_walk else math.inf
         t_provision = (state.next_provision_s() if state is not None
                        else math.inf)
         t_pending = pending[0][0] if pending else math.inf
+        if catch_up and obs_next_sample_s <= t_arrival \
+                and obs_next_sample_s <= t_pending:
+            obs_next_sample_s = sample_refused(min(t_arrival, t_pending),
+                                               index, queued, idle)
         if t_arrival <= t_provision and t_arrival <= t_pending:
-            job = index
+            pos = index
             now = float(t_arrival)
             index += 1
-            tenant_spent[tenant_of[job]] = decisions.epsilon_after[job]
-            if admitted[job]:
-                push(job)
+            tenant_spent[walk_tenant[pos]] = walk_spent[pos]
+            if walk is not None or admitted[pos]:
+                push(pos)
                 queued += 1
         elif t_provision <= t_pending:
             assert state is not None
@@ -416,34 +501,35 @@ def simulate_fleet_streaming(
             state.activate_one(now)
             idle += 1
         else:
-            now, prio, _, job = heapq.heappop(pending)
+            now, prio, _, pos = heapq.heappop(pending)
             if prio == _PRIO_RETRY:
-                push(job)
+                push(pos)
                 queued += 1
             else:  # completion or repair: capacity returns either way
                 idle += 1
         while idle and queued:
-            job = pop()
+            pos = pop()
             queued -= 1
             idle -= 1
             if frun is None:
-                waits.add(float(now - arrival[job]))
-                finish = float(now + service[job])
+                waits.add(float(now - walk_arrival[pos]))
+                service_s = float(walk_service[pos])
+                finish = now + service_s
                 heapq.heappush(pending,
-                               (finish, _PRIO_COMPLETION, seq, job))
+                               (finish, _PRIO_COMPLETION, seq, pos))
                 seq += 1
-                busy_s += float(service[job])
+                busy_s += service_s
                 completed += 1
-                if granted[job] < trace.steps[job]:
+                if walk_short[pos]:
                     truncated += 1
                 if finish > makespan:
                     makespan = finish
             else:
-                attempt(job, now)
+                attempt(pos, now)
             if dispatch_log is not None:
-                dispatch_log.append((job, now))
+                dispatch_log.append((walk_job[pos], now))
             if obs_dispatch is not None:
-                obs_dispatch((job, now))
+                obs_dispatch((walk_job[pos], now))
         if state is not None:
             delta = state.decide(now, queued, idle)
             if delta < 0:
@@ -458,6 +544,8 @@ def simulate_fleet_streaming(
                        len(state.pending) if state is not None else 0)
             obs_next_sample_s = obs.next_sample_s
 
+    if catch_up:
+        sample_refused(math.inf, index, queued, idle)
     if state is not None:
         state.finalize(now)
     if obs is not None:

@@ -11,8 +11,12 @@ The load-bearing contracts:
   dispatch logs are equal with and without an observer attached.
 """
 
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -31,6 +35,8 @@ from repro.obs import (
 )
 from repro.serve import (
     AdmissionController,
+    FaultConfig,
+    FaultModel,
     FleetConfig,
     TenantBudget,
     TraceConfig,
@@ -38,6 +44,9 @@ from repro.serve import (
     simulate_fleet_streaming,
 )
 from repro.serve.autoscale import AutoscalerPolicy
+from repro.serve.scheduler import POLICIES
+
+OBS_GOLDEN = Path(__file__).resolve().parent / "data" / "golden_fleet_obs.json"
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +294,89 @@ class TestFleetObs:
         assert truncated == report.truncated
         waits = next(m for m in doc["metrics"] if m["name"] == "wait_s")
         assert waits["count"] == report.completed
+
+
+def _sha256(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def _sampled_run(policy="fifo", *, jobs=5_000, epsilon=3.0,
+                 mtbf_hours=None, private_only=False):
+    """Load samples and dispatches of one observed budget-bound run."""
+    mix = {"algorithms": ("DP-SGD",), "algorithm_weights": (1.0,)} \
+        if private_only else {}
+    trace = generate_trace_arrays(TraceConfig(
+        jobs=jobs, seed=11, mean_interarrival_s=0.5, **mix))
+    faults = FaultModel(FaultConfig(mtbf_hours=mtbf_hours, seed=11)) \
+        if mtbf_hours is not None else None
+    obs = FleetObs(recorder=TraceRecorder(), window_s=60.0)
+    simulate_fleet_streaming(
+        trace, FleetConfig(chips=4), policy=policy, faults=faults,
+        admission=AdmissionController(TenantBudget(epsilon=epsilon)),
+        obs=obs)
+    return {"samples": len(obs.samples),
+            "samples_sha256": _sha256(obs.samples),
+            "dispatches": len(obs.dispatches),
+            "dispatches_sha256": _sha256(obs.dispatches)}
+
+
+#: Pinned observed runs: 80% of arrivals refused (eps = 3), with and
+#: without faults; every arrival refused (a private-only mix at
+#: eps = 1e-6); no arrivals at all.
+OBS_CASES = {
+    **{f"{policy}-{tag}": {"policy": policy, "mtbf_hours": mtbf}
+       for policy in POLICIES
+       for tag, mtbf in (("clean", None), ("faulty", 0.5))},
+    "all-refused": {"epsilon": 1e-6, "private_only": True},
+    "empty": {"jobs": 0},
+}
+
+
+class TestSampleGolden:
+    """Windowed samples and dispatches stay byte-identical to the pins.
+
+    Refused arrivals are not loop events when no autoscaler is
+    attached, so every sample one of them would have taken must be
+    reproduced at its arrival time.
+    """
+
+    @pytest.mark.parametrize("case", sorted(OBS_CASES))
+    def test_matches_golden(self, case):
+        golden = json.loads(OBS_GOLDEN.read_text())
+        assert _sampled_run(**OBS_CASES[case]) == golden[case]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_matches_every_arrival_walk_on_tied_arrivals(self, policy):
+        # An autoscaler pinned at the fleet size never acts but makes
+        # the loop walk every arrival: the reference for the skipping
+        # walk.  Arrivals floored to 5 s tie with each other and with
+        # the 60 s window boundaries.
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=2_000, seed=11, mean_interarrival_s=0.5))
+        trace = dataclasses.replace(
+            trace, arrival_s=np.floor(trace.arrival_s / 5.0) * 5.0)
+        runs = []
+        for scaler in (None, AutoscalerPolicy(min_clusters=4,
+                                              max_clusters=4)):
+            obs = FleetObs(recorder=TraceRecorder(), window_s=60.0)
+            simulate_fleet_streaming(
+                trace, FleetConfig(chips=4), policy=policy,
+                admission=AdmissionController(TenantBudget(epsilon=3.0)),
+                autoscaler=scaler, obs=obs)
+            runs.append((obs.samples, obs.dispatches))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) > 10
+
+    def test_all_refused_window_samples_first_arrival_only(self):
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=100, seed=11, mean_interarrival_s=0.5,
+            algorithms=("DP-SGD",), algorithm_weights=(1.0,)))
+        obs = FleetObs(recorder=TraceRecorder(), window_s=60.0)
+        report = simulate_fleet_streaming(
+            trace, FleetConfig(chips=4), obs=obs,
+            admission=AdmissionController(TenantBudget(epsilon=1e-6)))
+        assert report.rejected == 100
+        assert obs.samples == [(float(trace.arrival_s[0]), 0, 4, 4, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.serve import (
     simulate_fleet_streaming,
 )
 from repro.serve.budget import BatchAdmissionDecisions
+from repro.serve.job import lex_unique
 from repro.serve.stream import WARMUP_OBSERVATIONS
 from repro.training import Algorithm, simulate_sharded_training_step
 from repro.workloads import build_model
@@ -73,6 +74,72 @@ class TestTraceArrays:
         for i, job in enumerate(trace):
             assert bool(arrays.is_private[i]) == job.is_private
             assert float(arrays.sampling_rate[i]) == job.sampling_rate
+
+
+@st.composite
+def _columns(draw):
+    """One to three equal-length int or float columns with repeats."""
+    n = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            values = st.integers(-3, 3) | st.integers(-2**40, 2**40)
+            dtype = np.int64
+        else:
+            values = st.sampled_from([0.0, -0.0, 0.5, 1e-300]) \
+                | st.floats(allow_nan=False)
+            dtype = float
+        columns.append(np.array(
+            draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype))
+    return columns
+
+
+class TestLexUnique:
+    """``lex_unique`` is ``np.unique(np.stack(cols, 1), axis=0,
+    return_inverse=True)`` without the row-wise sort."""
+
+    @staticmethod
+    def _assert_matches_row_unique(columns):
+        rows, inverse = lex_unique(*columns)
+        want_rows, want_inverse = np.unique(
+            np.stack(columns, axis=1), axis=0, return_inverse=True)
+        assert rows.dtype == want_rows.dtype
+        assert rows.shape == want_rows.shape
+        # array_equal: -0.0 and 0.0 are one value to both.
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(inverse, want_inverse)
+        assert inverse.shape == want_inverse.shape
+
+    @settings(max_examples=150, deadline=None)
+    @given(_columns())
+    def test_matches_row_unique(self, columns):
+        self._assert_matches_row_unique(columns)
+
+    def test_empty_and_single_value(self):
+        self._assert_matches_row_unique(
+            [np.zeros(0, dtype=np.int32), np.zeros(0)])
+        self._assert_matches_row_unique([np.full(7, 3), np.full(7, 0.5)])
+        rows, inverse = lex_unique(np.full(7, 3), np.full(7, 0.5))
+        assert rows.tolist() == [[3.0, 0.5]]
+        assert inverse.tolist() == [0] * 7
+
+    def test_million_distinct_values_per_column(self):
+        # Codes packed without re-densifying would reach 10**18 here;
+        # the key stays below n**2.  Every row is distinct, so the
+        # unique rows are the lexsorted rows and the inverse is each
+        # row's rank.
+        n = 10**6
+        rng = np.random.default_rng(0)
+        columns = [rng.permutation(n).astype(np.int64) * 7919 - 3 * 10**9
+                   for _ in range(3)]
+        rows, inverse = lex_unique(*columns)
+        order = np.lexsort(columns[::-1])
+        assert np.array_equal(rows, np.stack(columns, axis=1)[order])
+        assert np.array_equal(inverse[order], np.arange(n))
+
+    def test_needs_a_column(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            lex_unique()
 
 
 class TestBatchAdmission:
@@ -328,3 +395,22 @@ class TestServeExperimentStreaming:
         assert rows[0]["completed"] + rows[0]["rejected"] == 300
         text = serve_experiment.render(rows)
         assert "Policy" in text
+
+    def test_all_policies_price_the_step_table_once(self, monkeypatch):
+        import repro.training.batch as batch_module
+        from repro.experiments import serve as serve_experiment
+        from repro.serve.scheduler import POLICIES, _memo_step_seconds
+
+        calls = []
+        real = batch_module.sharded_step_batch
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setattr(batch_module, "sharded_step_batch", counted)
+        _memo_step_seconds.cache_clear()
+        rows = serve_experiment.run(trace_jobs=300, chips=2)
+        assert [row["policy"] for row in rows] == list(POLICIES)
+        assert len(calls) == 1 and calls[0] > 0
