@@ -37,9 +37,10 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -224,6 +225,35 @@ def _job_step_table(
     return unique, inverse, table
 
 
+#: Walked arrivals become Python scalars this many at a time.
+_WALK_CHUNK = 4096
+
+
+def _arrival_rows(jobs: NDArray[Any] | None, total: int,
+                  *columns: NDArray[Any]) -> Iterator[tuple[Any, ...]]:
+    """``(job, *(column[job] for column in columns))`` per walked job.
+
+    ``jobs`` holds the walked job ids in order (``None``: all
+    ``total``).  Values come out as Python scalars, converted a chunk
+    at a time: the loop reads no NumPy scalars and no trace-length
+    list is ever built.
+    """
+    size = total if jobs is None else len(jobs)
+
+    def chunks() -> Iterator[Iterator[tuple[Any, ...]]]:
+        for lo in range(0, size, _WALK_CHUNK):
+            hi = min(lo + _WALK_CHUNK, size)
+            if jobs is None:
+                pick: Any = slice(lo, hi)
+                ids: Any = range(lo, hi)
+            else:
+                pick = jobs[lo:hi]
+                ids = pick.tolist()
+            yield zip(ids, *(column[pick].tolist() for column in columns))
+
+    return itertools.chain.from_iterable(chunks())
+
+
 #: Same-timestamp event order: arrivals, then provisioned clusters
 #: coming online, then (from the pending heap) completions, then
 #: repaired clusters rejoining, then retried jobs requeueing.
@@ -300,6 +330,7 @@ def simulate_fleet_streaming(
             for pos, row in enumerate(unique)])
         step = table[inverse]
         service = decisions.granted_steps * eff_table[inverse]
+        q_arr, private_arr = trace.sampling_rate, trace.is_private
     state = (AutoscalerState(autoscaler,
                              initial_clusters=fleet.n_clusters,
                              chips_per_cluster=fleet.chips_per_cluster)
@@ -309,6 +340,7 @@ def simulate_fleet_streaming(
     arrival = trace.arrival_s
     admitted = decisions.admitted
     granted = decisions.granted_steps
+    tenant_of = trace.tenant
     n_tenants = len(trace.tenants)
 
     # Without an autoscaler the loop walks the admitted arrivals only.
@@ -317,34 +349,12 @@ def simulate_fleet_streaming(
     # event), and its epsilon_after repeats its tenant's previous one,
     # which the budget key reads only while that tenant has an admitted
     # job queued.  The autoscaler decides after every event, so it
-    # walks every arrival.  Queues and the pending heap hold walk
-    # positions (ordered like job ids); job ids surface only in the
-    # logs and the fault run.
+    # walks every arrival.
     walk = np.flatnonzero(admitted) if state is None else None
-    walk_job: Sequence[int] = range(total) if walk is None \
-        else walk.tolist()
-
-    def walked(values: NDArray[Any]) -> Any:
-        """``values`` per walk position (a list when skipping)."""
-        return values if walk is None else values[walk].tolist()
-
-    walk_arrival = walked(arrival)
-    walk_tenant = walked(trace.tenant)
-    walk_spent = walked(decisions.epsilon_after)
-    walk_service = walked(service)
-    walk_short = walked(granted < trace.steps)
-    n_walk = len(walk_job)
-    if frun is not None:
-        # Attempt inputs; the fault run takes each as a Python scalar.
-        walk_step = walked(step)
-        walk_granted = walked(granted)
-        walk_requested = walked(trace.steps)
-        walk_q = walked(trace.sampling_rate)
-        walk_sigma = walked(trace.noise_multiplier)
-        walk_private = walked(trace.is_private)
-        walk_model = walked(trace.model)
-        walk_algorithm = walked(trace.algorithm)
-        walk_batch = walked(trace.batch)
+    rows = _arrival_rows(walk, total, arrival, tenant_of,
+                         decisions.epsilon_after, admitted)
+    row = next(rows, None)
+    last_job = -1
     # The budget policy ranks tenants by their spend as of their latest
     # arrival (the decision stream's epsilon_after), the ledger a
     # per-arrival controller would hold at dispatch time.
@@ -352,28 +362,29 @@ def simulate_fleet_streaming(
     budget_eps = [admission.budget_for(name).epsilon
                   for name in trace.tenants]
 
-    # Queues are min-heaps.  Arrivals are nondecreasing in the walk
-    # position, so the position alone orders jobs by (arrival, job_id):
-    # fifo and the per-tenant budget queues hold bare positions, sjf
-    # holds (live remaining service, position).  A requeued job
-    # re-sorts by its original arrival.
+    # Queues are min-heaps.  Arrivals are nondecreasing in the job
+    # index, so the index alone orders jobs by (arrival, job_id): fifo
+    # and the per-tenant budget queues hold bare indices, sjf holds
+    # (live remaining service, index).  A requeued job re-sorts by its
+    # original arrival; only an sjf retry under faults re-keys ``live``.
     queue: list[Any] = []
     tenant_queues: list[list[int]] = [[] for _ in range(n_tenants)]
-    live: Any = walk_service.copy() if policy == "sjf" else None
+    live = service.copy() if frun is not None and policy == "sjf" \
+        else service
     queued = 0
 
-    def push(pos: int) -> None:
+    def push(job: int) -> None:
         if policy == "fifo":
-            heapq.heappush(queue, pos)
+            heapq.heappush(queue, job)
         elif policy == "sjf":
-            heapq.heappush(queue, (live[pos], pos))
+            heapq.heappush(queue, (live.item(job), job))
         else:
-            heapq.heappush(tenant_queues[walk_tenant[pos]], pos)
+            heapq.heappush(tenant_queues[tenant_of.item(job)], job)
 
     def pop() -> int:
         if policy == "fifo":
-            pos: int = heapq.heappop(queue)
-            return pos
+            job: int = heapq.heappop(queue)
+            return job
         if policy == "sjf":
             return int(heapq.heappop(queue)[1])
         best: int | None = None
@@ -392,11 +403,11 @@ def simulate_fleet_streaming(
     # When autoscaling, the metric accumulator IS the autoscaler's p99
     # signal — one object, fed once per dispatch.
     waits = state.waits if state is not None else StreamingStats()
-    # Completions, repairs and retries: (time, priority, seq, position).
+    # Completions, repairs and retries: (time, priority, seq, job).
     pending: list[tuple[float, int, int, int]] = []
     seq = 0
 
-    def attempt(pos: int, now: float) -> None:
+    def attempt(job: int, now: float) -> None:
         """Run one dispatched attempt under faults; queue its outcome.
 
         Pushes a completion, or a repair plus (when the job requeues)
@@ -405,40 +416,38 @@ def simulate_fleet_streaming(
         """
         nonlocal seq
         assert frun is not None
-        job = walk_job[pos]
-        model_name = trace.models[int(walk_model[pos])]
-        waits.add(float(now - frun.ready_s(job, float(walk_arrival[pos]))))
+        model_name = trace.models[trace.model.item(job)]
+        step_s = step.item(job)
+        waits.add(now - frun.ready_s(job, arrival.item(job)))
         outcome = frun.begin_attempt(
             job, now,
-            step_s=float(walk_step[pos]),
-            granted=int(walk_granted[pos]),
-            requested=int(walk_requested[pos]),
-            tenant=trace.tenants[int(walk_tenant[pos])],
-            sampling_rate=float(walk_q[pos]),
-            noise_multiplier=float(walk_sigma[pos]),
-            private=bool(walk_private[pos]),
+            step_s=step_s,
+            granted=granted.item(job),
+            requested=trace.steps.item(job),
+            tenant=trace.tenants[tenant_of.item(job)],
+            sampling_rate=q_arr.item(job),
+            noise_multiplier=trace.noise_multiplier.item(job),
+            private=private_arr.item(job),
             model_name=model_name,
-            algorithm=trace.algorithms[int(walk_algorithm[pos])],
-            batch=int(walk_batch[pos]))
+            algorithm=trace.algorithms[trace.algorithm.item(job)],
+            batch=trace.batch.item(job))
         if outcome.completed:
             heapq.heappush(pending,
-                           (outcome.free_s, _PRIO_COMPLETION, seq, pos))
+                           (outcome.free_s, _PRIO_COMPLETION, seq, job))
             seq += 1
             return
-        heapq.heappush(pending, (outcome.free_s, _PRIO_REPAIR, seq, pos))
+        heapq.heappush(pending, (outcome.free_s, _PRIO_REPAIR, seq, job))
         seq += 1
         if outcome.retry_s is not None:
             if policy == "sjf":
                 # The retry re-keys by the service its remaining
                 # reservation needs.
-                live[pos] = frun.remaining_steps(
-                    job, int(walk_granted[pos])) \
-                    * frun.effective_step_seconds(model_name,
-                                                  float(walk_step[pos]))
-            heapq.heappush(pending, (outcome.retry_s, _PRIO_RETRY, seq, pos))
+                live[job] = frun.remaining_steps(job, granted.item(job)) \
+                    * frun.effective_step_seconds(model_name, step_s)
+            heapq.heappush(pending, (outcome.retry_s, _PRIO_RETRY, seq, job))
             seq += 1
 
-    def sample_refused(until: float, index: int, queued: int,
+    def sample_refused(until: float, lo: int, hi: int, queued: int,
                        idle: int) -> float:
         """Take the load samples skipped refused arrivals would have
         taken up to ``until``, each at its arrival time; return the
@@ -446,14 +455,12 @@ def simulate_fleet_streaming(
 
         In an every-arrival walk the first arrival at or after the
         deadline takes the sample.  Every arrival up to the last
-        walked one came before it, so it lies between that arrival
-        and the next walked one (``index``); if it is a refused one
+        walked one came before it, so it lies in ``[lo, hi)``, between
+        that arrival and the next walked one; if it is a refused one
         that precedes the next loop event, it saw the fleet exactly as
         the last event left it.
         """
         assert obs is not None
-        lo = walk_job[index - 1] + 1 if index else 0
-        hi = walk_job[index] if index < n_walk else total
         while obs.next_sample_s <= until:
             lo = bisect.bisect_left(arrival, obs.next_sample_s, lo, hi)
             if lo == hi or arrival[lo] > until:
@@ -469,31 +476,31 @@ def simulate_fleet_streaming(
     obs_dispatch = obs.dispatches.append if obs is not None else None
     obs_next_sample_s = obs.next_sample_s if obs is not None else math.inf
     catch_up = obs is not None and walk is not None
+    arrival_of, service_of = arrival.item, service.item
     idle = fleet.n_clusters
     busy_s = 0.0
     completed = 0
-    truncated = 0
     makespan = 0.0
-    index = 0
     now = 0.0
 
-    while index < n_walk or pending \
+    while row is not None or pending \
             or (state is not None and state.pending):
-        t_arrival = walk_arrival[index] if index < n_walk else math.inf
+        t_arrival = row[1] if row is not None else math.inf
         t_provision = (state.next_provision_s() if state is not None
                        else math.inf)
         t_pending = pending[0][0] if pending else math.inf
         if catch_up and obs_next_sample_s <= t_arrival \
                 and obs_next_sample_s <= t_pending:
-            obs_next_sample_s = sample_refused(min(t_arrival, t_pending),
-                                               index, queued, idle)
+            obs_next_sample_s = sample_refused(
+                min(t_arrival, t_pending), last_job + 1,
+                row[0] if row is not None else total, queued, idle)
         if t_arrival <= t_provision and t_arrival <= t_pending:
-            pos = index
-            now = float(t_arrival)
-            index += 1
-            tenant_spent[walk_tenant[pos]] = walk_spent[pos]
-            if walk is not None or admitted[pos]:
-                push(pos)
+            assert row is not None
+            last_job, now, tenant, spent, is_admitted = row
+            row = next(rows, None)
+            tenant_spent[tenant] = spent
+            if is_admitted:
+                push(last_job)
                 queued += 1
         elif t_provision <= t_pending:
             assert state is not None
@@ -501,35 +508,33 @@ def simulate_fleet_streaming(
             state.activate_one(now)
             idle += 1
         else:
-            now, prio, _, pos = heapq.heappop(pending)
+            now, prio, _, job = heapq.heappop(pending)
             if prio == _PRIO_RETRY:
-                push(pos)
+                push(job)
                 queued += 1
             else:  # completion or repair: capacity returns either way
                 idle += 1
         while idle and queued:
-            pos = pop()
+            job = pop()
             queued -= 1
             idle -= 1
             if frun is None:
-                waits.add(float(now - walk_arrival[pos]))
-                service_s = float(walk_service[pos])
+                waits.add(now - arrival_of(job))
+                service_s = service_of(job)
                 finish = now + service_s
                 heapq.heappush(pending,
-                               (finish, _PRIO_COMPLETION, seq, pos))
+                               (finish, _PRIO_COMPLETION, seq, job))
                 seq += 1
                 busy_s += service_s
                 completed += 1
-                if walk_short[pos]:
-                    truncated += 1
                 if finish > makespan:
                     makespan = finish
             else:
-                attempt(pos, now)
+                attempt(job, now)
             if dispatch_log is not None:
-                dispatch_log.append((walk_job[pos], now))
+                dispatch_log.append((job, now))
             if obs_dispatch is not None:
-                obs_dispatch((walk_job[pos], now))
+                obs_dispatch((job, now))
         if state is not None:
             delta = state.decide(now, queued, idle)
             if delta < 0:
@@ -545,7 +550,7 @@ def simulate_fleet_streaming(
             obs_next_sample_s = obs.next_sample_s
 
     if catch_up:
-        sample_refused(math.inf, index, queued, idle)
+        sample_refused(math.inf, last_job + 1, total, queued, idle)
     if state is not None:
         state.finalize(now)
     if obs is not None:
@@ -554,6 +559,10 @@ def simulate_fleet_streaming(
     if frun is not None:
         completed, truncated = frun.completed, frun.truncated
         makespan, busy_s = frun.makespan_s, frun.busy_s
+    else:
+        # Without faults every admitted job ran once, to its grant.
+        truncated = int(np.count_nonzero(admitted
+                                         & (granted < trace.steps)))
     return build_streaming_report(
         policy=policy,
         chips=fleet.chips,

@@ -44,6 +44,7 @@ from repro.serve import (
     simulate_fleet_streaming,
 )
 from repro.serve.autoscale import AutoscalerPolicy
+from repro.serve import scheduler
 from repro.serve.scheduler import POLICIES
 
 OBS_GOLDEN = Path(__file__).resolve().parent / "data" / "golden_fleet_obs.json"
@@ -332,6 +333,14 @@ OBS_CASES = {
 }
 
 
+@pytest.fixture(params=["default-chunk", "chunk-7"])
+def walk_chunk(request, monkeypatch):
+    """As shipped, then converting walked arrivals 7 at a time, which
+    puts hundreds of chunk boundaries inside the walk."""
+    if request.param == "chunk-7":
+        monkeypatch.setattr(scheduler, "_WALK_CHUNK", 7)
+
+
 class TestSampleGolden:
     """Windowed samples and dispatches stay byte-identical to the pins.
 
@@ -341,12 +350,13 @@ class TestSampleGolden:
     """
 
     @pytest.mark.parametrize("case", sorted(OBS_CASES))
-    def test_matches_golden(self, case):
+    def test_matches_golden(self, case, walk_chunk):
         golden = json.loads(OBS_GOLDEN.read_text())
         assert _sampled_run(**OBS_CASES[case]) == golden[case]
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_matches_every_arrival_walk_on_tied_arrivals(self, policy):
+    def test_matches_every_arrival_walk_on_tied_arrivals(self, policy,
+                                                         walk_chunk):
         # An autoscaler pinned at the fleet size never acts but makes
         # the loop walk every arrival: the reference for the skipping
         # walk.  Arrivals floored to 5 s tie with each other and with
