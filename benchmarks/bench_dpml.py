@@ -18,6 +18,7 @@ from repro.dpml import (
     compute_rdp,
     synthetic_images,
 )
+from repro.dpml.accountant import _single_step_rdp
 
 
 def _setup(seed=0):
@@ -52,5 +53,9 @@ def test_sgd_step(benchmark):
 
 
 def test_rdp_accounting(benchmark):
-    rdp = benchmark(compute_rdp, 0.01, 1.1, 1000)
+    """A cold RDP curve: the per-step curve cache is cleared before
+    every round, so each round prices the whole order ladder."""
+    rdp = benchmark.pedantic(compute_rdp, args=(0.01, 1.1, 1000),
+                             setup=_single_step_rdp.cache_clear,
+                             rounds=20, iterations=1)
     assert rdp.min() >= 0

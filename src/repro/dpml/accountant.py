@@ -30,32 +30,9 @@ DEFAULT_ORDERS: tuple[int, ...] = tuple(range(2, 64)) + (
     128, 256, 512, 1024)
 
 
-def _log_comb(n: int, k: int) -> float:
-    return (special.gammaln(n + 1) - special.gammaln(k + 1)
-            - special.gammaln(n - k + 1))
-
-
 def rdp_sampled_gaussian(q: float, sigma: float, order: int) -> float:
     """RDP of one subsampled-Gaussian step at an integer ``order``."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"sampling rate must be in [0, 1], got {q}")
-    if order < 2 or int(order) != order:
-        raise ValueError(f"order must be an integer >= 2, got {order}")
-    if q == 0.0:
-        return 0.0
-    if sigma <= 0.0:
-        return math.inf
-    if q == 1.0:
-        return order / (2.0 * sigma * sigma)
-    order = int(order)
-    log_terms = [
-        _log_comb(order, k)
-        + (order - k) * math.log1p(-q)
-        + k * math.log(q)
-        + k * (k - 1) / (2.0 * sigma * sigma)
-        for k in range(order + 1)
-    ]
-    return float(special.logsumexp(log_terms)) / (order - 1)
+    return _single_step_rdp(q, sigma, (order,))[0]
 
 
 @lru_cache(maxsize=512)
@@ -63,21 +40,79 @@ def _single_step_rdp(q: float, sigma: float,
                      orders: tuple[int, ...]) -> tuple[float, ...]:
     """One step's RDP curve, memoized per ``(q, sigma, orders)``.
 
-    The curve is the expensive part of accounting (~66 orders with up
-    to ``order + 1`` logsumexp terms each) and admission control /
-    budget searches evaluate it for the same handful of mechanism
-    parameters over and over.  Returned as a tuple so cache hits can
-    never alias a mutable array.
+    The whole order ladder is priced in one pass: ``log k!`` is built
+    once up to ``max(orders)``, and each order's ``order + 1`` binomial
+    log-terms are sliced out of shared vectors, in the operand order
+    ``log C(a, k) + (a - k) log(1 - q) + k log q + k (k - 1) / (2 sigma^2)``.
+    Each order then reduces with the steps of
+    :func:`scipy.special.logsumexp` on one contiguous vector (tied
+    maxima counted as ``m`` and zeroed, the rest shifted, exponentiated
+    and pairwise-summed), so every value is bitwise the per-order
+    ``logsumexp`` result (pinned by ``tests/data/golden_rdp_curves.json``).
+
+    Admission control and budget searches evaluate the curve for the
+    same handful of mechanism parameters over and over, hence the
+    cache.  Returned as a tuple so cache hits can never alias a
+    mutable array.
     """
-    return tuple(rdp_sampled_gaussian(q, sigma, order) for order in orders)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"sampling rate must be in [0, 1], got {q}")
+    if math.isnan(sigma):
+        raise ValueError(f"noise multiplier must be a number, got {sigma}")
+    for order in orders:
+        if order < 2 or int(order) != order:
+            raise ValueError(f"order must be an integer >= 2, got {order}")
+    if q == 0.0:
+        return (0.0,) * len(orders)
+    two_var = 2.0 * sigma * sigma
+    if sigma <= 0.0 or two_var == 0.0:
+        return (math.inf,) * len(orders)
+    if q == 1.0:
+        return tuple(order / two_var for order in orders)
+    if not orders:
+        return ()
+    ladder = [int(order) for order in orders]
+    k = np.arange(max(ladder) + 1, dtype=float)
+    shift = np.empty(len(ladder))
+    total = np.empty(len(ladder))
+    ties = np.empty(len(ladder))
+    # Terms reach +inf only when 2 sigma^2 is subnormal; the tied +inf
+    # maximum then gives an infinite order, as scipy's logsumexp does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_fact = special.gammaln(k + 1.0)
+        miss = k * math.log1p(-q)    # (a - k) log(1 - q), read reversed
+        hit = k * math.log(q)
+        quad = k * (k - 1.0) / two_var
+        for i, a in enumerate(ladder):
+            terms = (log_fact[a] - log_fact[:a + 1]) - log_fact[a::-1]
+            terms += miss[a::-1]
+            terms += hit[:a + 1]
+            terms += quad[:a + 1]
+            top = terms.max()
+            tied = terms == top
+            scaled = np.exp(terms - top)
+            scaled[tied] = 0.0
+            shift[i] = top
+            total[i] = scaled.sum()
+            ties[i] = np.count_nonzero(tied)
+    total = np.where(total == 0.0, total, total / ties)
+    log_sum = np.log1p(total) + np.log(ties) + shift
+    return tuple((log_sum / (np.array(ladder) - 1.0)).tolist())
 
 
 def compute_rdp(q: float, sigma: float, steps: int,
                 orders: tuple[int, ...] = DEFAULT_ORDERS) -> np.ndarray:
-    """RDP of ``steps`` composed subsampled-Gaussian mechanisms."""
+    """RDP of ``steps`` composed subsampled-Gaussian mechanisms.
+
+    Zero steps spend nothing, also at ``sigma <= 0`` where the per-step
+    curve is infinite.
+    """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    return steps * np.array(_single_step_rdp(q, sigma, tuple(orders)))
+    per_step = np.array(_single_step_rdp(q, sigma, tuple(orders)))
+    if steps == 0:
+        return np.zeros_like(per_step)
+    return steps * per_step
 
 
 def rdp_to_epsilon(orders: tuple[int, ...], rdp: np.ndarray,
@@ -128,7 +163,8 @@ class RdpAccountant:
         if steps < 0:
             raise ValueError("steps must be non-negative")
         self.steps += steps
-        self._rdp = self._rdp + steps * self._per_step
+        if steps:  # 0 * inf (sigma <= 0) would poison the ledger with NaN
+            self._rdp = self._rdp + steps * self._per_step
 
     def epsilon(self, delta: float) -> float:
         """Current ``epsilon`` at the given ``delta``."""
@@ -195,7 +231,7 @@ def max_steps_for_budget(
     :meth:`RdpAccountant.max_steps_for_budget` and the serving layer's
     admission control use.
     """
-    if target_epsilon <= 0:
+    if not target_epsilon > 0:  # also rejects NaN
         raise ValueError("target epsilon must be positive")
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
@@ -236,7 +272,7 @@ def noise_multiplier_for_epsilon(
     upper: float = 64.0,
 ) -> float:
     """Smallest noise multiplier achieving ``target_epsilon`` (bisection)."""
-    if target_epsilon <= 0:
+    if not target_epsilon > 0:  # also rejects NaN
         raise ValueError("target epsilon must be positive")
 
     def eps(sigma: float) -> float:

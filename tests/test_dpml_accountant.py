@@ -1,11 +1,14 @@
 """Tests for the RDP accountant (repro.dpml.accountant)."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from repro.dpml import (
     DEFAULT_ORDERS,
@@ -17,6 +20,43 @@ from repro.dpml import (
     rdp_sampled_gaussian,
     rdp_to_epsilon,
 )
+from repro.serve.job import TraceConfig, generate_trace_arrays
+
+GOLDEN_RDP = (Path(__file__).resolve().parent / "data"
+              / "golden_rdp_curves.json")
+
+
+def _golden_curves(group):
+    golden = json.loads(GOLDEN_RDP.read_text())
+    assert tuple(golden["orders"]) == DEFAULT_ORDERS
+    return [(float.fromhex(entry["q"]), float.fromhex(entry["sigma"]),
+             [float.fromhex(value) for value in entry["rdp"]])
+            for entry in golden[group]]
+
+
+def rdp_by_quadrature(q, sigma, alpha):
+    """RDP of the subsampled Gaussian by numerical integration.
+
+    ``A_alpha = E_{z ~ N(0, sigma^2)} [((1 - q) + q exp((2z - 1) /
+    (2 sigma^2)))^alpha]`` (Mironov et al.), integrated as ``A_alpha - 1``
+    with ``log1p``/``expm1`` so that tiny ``q`` keeps its digits, over
+    40 sigma either side of the two mixture peaks at 0 and ``alpha``.
+    """
+    two_var = 2.0 * sigma * sigma
+
+    def excess(z):
+        log_density = -z * z / two_var - 0.5 * math.log(math.pi * two_var)
+        log_ratio = alpha * math.log1p(q * math.expm1((2.0 * z - 1.0)
+                                                      / two_var))
+        if log_ratio > 30.0:
+            return (math.exp(log_density + log_ratio)
+                    - math.exp(log_density))
+        return math.exp(log_density) * math.expm1(log_ratio)
+
+    a_minus_one, _ = integrate.quad(
+        excess, -40.0 * sigma, alpha + 40.0 * sigma,
+        points=(0.0, float(alpha)), epsabs=0.0, epsrel=1e-12, limit=500)
+    return math.log1p(a_minus_one) / (alpha - 1)
 
 
 class TestRdpClosedForms:
@@ -33,6 +73,12 @@ class TestRdpClosedForms:
     def test_sigma_zero_infinite(self):
         assert rdp_sampled_gaussian(0.5, 0.0, 4) == math.inf
 
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-161])
+    def test_vanishing_sigma_infinite(self, q, sigma):
+        """``2 sigma^2`` zero or subnormal: infinite, not an error."""
+        assert rdp_sampled_gaussian(q, sigma, 8) == math.inf
+
     def test_validation(self):
         with pytest.raises(ValueError):
             rdp_sampled_gaussian(1.5, 1.0, 4)
@@ -40,6 +86,60 @@ class TestRdpClosedForms:
             rdp_sampled_gaussian(0.5, 1.0, 1)
         with pytest.raises(ValueError):
             rdp_sampled_gaussian(0.5, 1.0, 2.5)
+
+
+class TestGoldenCurves:
+    """Per-step curves pinned bitwise against the per-order scalar
+    ``logsumexp`` loop the order-ladder kernel replaced (recorded with
+    that loop as ``float.hex``)."""
+
+    @pytest.mark.parametrize("group", ["trace", "grid"])
+    def test_curves_match_bitwise(self, group):
+        for q, sigma, curve in _golden_curves(group):
+            assert compute_rdp(q, sigma, 1).tolist() == curve, (q, sigma)
+
+    def test_trace_classes_all_pinned(self):
+        """The ``trace`` group is every (q, sigma) class of the 150k-job
+        budget-bound trace, so its admission decisions are pinned."""
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=150_000, seed=1, mean_interarrival_s=0.5))
+        classes = set(zip(trace.sampling_rate.tolist(),
+                          trace.noise_multiplier.tolist()))
+        pinned = {(q, sigma) for q, sigma, _ in _golden_curves("trace")}
+        assert classes == pinned
+
+    def test_single_orders_match_curves(self):
+        index = {order: i for i, order in enumerate(DEFAULT_ORDERS)}
+        for q, sigma, curve in _golden_curves("grid"):
+            for order in (2, 63, 1024):
+                assert (rdp_sampled_gaussian(q, sigma, order)
+                        == curve[index[order]]), (q, sigma, order)
+
+    def test_odd_ladders_match_single_orders(self):
+        orders = (7, 3, 1000, 2, 129)
+        curve = compute_rdp(0.03, 0.9, 1, orders)
+        assert curve.tolist() == [rdp_sampled_gaussian(0.03, 0.9, order)
+                                  for order in orders]
+        assert compute_rdp(0.03, 0.9, 1, ()).shape == (0,)
+
+
+class TestQuadratureOracle:
+    """The binomial expansion against numerical integration of the
+    mixture density: different maths for the same divergence."""
+
+    @pytest.mark.parametrize("q, sigma, alpha", [
+        (0.01, 1.1, 2),
+        (0.01, 1.1, 32),
+        (256 / 60000, 1.1, 10),
+        (1e-4, 0.9, 20),
+        (0.05, 0.8, 8),
+        (0.1, 2.0, 32),
+        (0.5, 1.0, 3),
+        (0.9, 4.0, 16),
+    ])
+    def test_matches_numerical_integration(self, q, sigma, alpha):
+        assert rdp_sampled_gaussian(q, sigma, alpha) == pytest.approx(
+            rdp_by_quadrature(q, sigma, alpha), rel=1e-6)
 
 
 class TestRdpMonotonicity:
@@ -77,6 +177,15 @@ class TestComposition:
         with pytest.raises(ValueError):
             compute_rdp(0.01, 1.0, -1)
 
+    def test_zero_steps_at_sigma_zero_spend_nothing(self):
+        """0 * inf must not leak a NaN curve."""
+        assert compute_rdp(0.3, 0.0, 0).tolist() == [0.0] * len(
+            DEFAULT_ORDERS)
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="noise multiplier"):
+            compute_rdp(0.01, math.nan, 10)
+
 
 class TestConversion:
     def test_validation(self):
@@ -110,6 +219,12 @@ class TestConversion:
         assert 3.0 < eps < 9.0
         assert order in DEFAULT_ORDERS
 
+    def test_mnist_tutorial_operating_point(self):
+        """TF-Privacy's MNIST tutorial: batch 256 of 60k, sigma 1.1,
+        60 epochs (14062 steps), delta 1e-5."""
+        assert epsilon_for_steps(256 / 60000, 1.1, 14062, 1e-5) == \
+            pytest.approx(3.00910, abs=5e-5)
+
 
 class TestAccountant:
     def test_zero_steps_zero_epsilon(self):
@@ -142,6 +257,14 @@ class TestAccountant:
         with pytest.raises(ValueError):
             RdpAccountant(0.01, 1.0).record_steps(-1)
 
+    def test_zero_record_keeps_infinite_cost(self):
+        """Recording no steps at sigma = 0 leaves the ledger clean, so
+        later steps report an infinite epsilon rather than NaN."""
+        acct = RdpAccountant(0.5, 0.0)
+        acct.record_steps(0)
+        acct.record_steps(5)
+        assert acct.epsilon(1e-5) == math.inf
+
 
 class TestEpsilonForSteps:
     def test_zero_steps_spend_nothing(self):
@@ -158,6 +281,10 @@ class TestMaxStepsForBudget:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             max_steps_for_budget(0.01, 1.0, 0.0, 1e-5)
+
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValueError, match="target epsilon"):
+            max_steps_for_budget(0.01, 1.0, math.nan, 1e-5)
 
     def test_q_zero_is_unbounded(self):
         assert max_steps_for_budget(0.0, 1.0, 1.0, 1e-5,
