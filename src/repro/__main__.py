@@ -41,7 +41,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.experiment == "all":
         from repro.experiments.run_all import main as run_all
-        run_all(["--jobs", str(args.jobs)] if args.jobs else [])
+        run_all([])
         return 0
     module = ALL_EXPERIMENTS.get(args.experiment)
     if module is None:
@@ -108,7 +108,6 @@ def _cmd_design_space(args: argparse.Namespace) -> int:
         models=tuple(args.models),
         heights=tuple(args.heights),
         widths=tuple(args.widths) if args.widths else None,
-        jobs=args.jobs,
         cache=cache,
         stats=stats,
     )
@@ -141,7 +140,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
             plan_mode=args.plan_mode,
             fabric=args.fabric,
             hbm_gb=args.hbm_gb,
-            jobs=args.jobs,
             cache=cache,
             stats=stats,
         )
@@ -272,8 +270,6 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("experiments", help="list available experiments")
     run = sub.add_parser("run", help="regenerate a figure/table")
     run.add_argument("experiment", help="experiment key, or 'all'")
-    run.add_argument("--jobs", type=int, default=0,
-                     help="worker processes for 'all' (default: all cores)")
     sim = sub.add_parser("simulate", help="simulate one model")
     sim.add_argument("model", choices=MODEL_NAMES)
     sim.add_argument("--batch", type=int, default=0,
@@ -304,10 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     design.add_argument("--widths", nargs="+", type=int, default=None,
                         metavar="W",
                         help="PE-array widths (full cross product)")
-    design.add_argument("--jobs", type=int, default=None,
-                        help="accepted for compatibility; the sweep is "
-                             "analytic and runs batched in-process "
-                             "without workers")
     design.add_argument("--cache-dir", default=None,
                         help="persist results as JSON under this "
                              "directory, keyed by config hash")
@@ -373,10 +365,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="per-chip HBM capacity in GiB for --plan "
                            "auto feasibility (default: the chip's "
                            "16 GiB)")
-    scal.add_argument("--jobs", type=int, default=None,
-                      help="accepted for compatibility; the sweep is "
-                           "analytic and runs batched in-process "
-                           "without workers")
     scal.add_argument("--cache-dir", default=None,
                       help="persist results as JSON under this "
                            "directory, keyed by config hash")

@@ -13,7 +13,7 @@ Host-clock reads are therefore quarantined to the sanctioned homes:
   (:mod:`repro.obs.profile`) exists precisely to measure the harness's
   own wall-clock cost;
 * ``src/repro/experiments/run_all.py`` — the top-level driver, which
-  timestamps its artifact manifest.
+  prints each experiment's render time in its banner.
 
 Everywhere else under ``src/repro``, calls to ``time.time``,
 ``time.perf_counter`` (and ``_ns`` variants), ``time.monotonic``,

@@ -216,11 +216,14 @@ def gemm_stats_batch(engine: GemmEngine, m: "ArrayLike", k: "ArrayLike",
     else:
         cycles = fixed + (counts * (overlap + main)).sum(axis=1)
 
+    # Packed instances share the array: the batch takes one instance's
+    # latency per round of concurrently running instances.
+    rounds = -(-count // engine.packing_factors_batch(m, n, count))
     return GemmStatsBatch(
         engine=engine.name,
         peak_macs_per_cycle=cfg.peak_macs_per_cycle,
         m=m, k=k, n=n, count=count,
-        compute_cycles=cycles * count,
+        compute_cycles=cycles * rounds,
         macs=m * k * n * count,
         tiles=tiles * count,
         sram_read_bytes=read_bytes * count,

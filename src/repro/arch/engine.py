@@ -322,6 +322,17 @@ class GemmEngine(abc.ABC):
         """Vectorized :meth:`tile_sram_traffic` over tile-dim arrays."""
         raise NotImplementedError
 
+    def packing_factors_batch(
+        self, m: NDArray[Any], n: NDArray[Any], count: NDArray[Any],
+    ) -> NDArray[Any]:
+        """Instances of each GEMM batch that run concurrently.
+
+        One by default: the ``count`` instances run back to back.
+        Engines that co-locate instances on disjoint array sectors
+        override this.
+        """
+        return np.ones_like(count)
+
     # -- shared machinery ----------------------------------------------------
     def _overlapped(self) -> bool:
         if self.dataflow == "weight_stationary":

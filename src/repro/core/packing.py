@@ -19,6 +19,10 @@ broadcast-bus overhead of Table III.
 from __future__ import annotations
 
 import math
+from typing import Any
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.arch.engine import ArrayConfig, GemmStats
 from repro.core.outer_product import OuterProductEngine
@@ -64,6 +68,15 @@ class PackedOuterProductEngine(OuterProductEngine):
         if fit <= 1:
             return 1
         return max(1, min(self.bus_segments, fit, gemm.count))
+
+    def packing_factors_batch(
+        self, m: NDArray[Any], n: NDArray[Any], count: NDArray[Any],
+    ) -> NDArray[Any]:
+        """Vectorized :meth:`packing_factor` over GEMM-dim arrays."""
+        cfg = self.config
+        fit = (cfg.height // m) * (cfg.width // n)
+        pack = np.minimum(np.minimum(fit, count), self.bus_segments)
+        return np.where((count == 1) | (fit <= 1), 1, pack)
 
     def _cache_key(self) -> tuple[object, ...]:
         return super()._cache_key() + (self.bus_segments,)

@@ -75,9 +75,9 @@ def clear_caches() -> None:
     """Reset every harness memo (model/accelerator/simulation/stats).
 
     ``benchmarks/bench_gemm_sweep.py`` calls this between timing rounds
-    to measure the cold path; sweep worker processes inherit warm parent
-    caches via fork, so it is also the hook for experiments that need a
-    cold start.
+    to measure the cold path.  ``run all`` renders every experiment in
+    one process, so the memos stay warm across experiments; this is
+    also the hook for anything that needs a cold start.
     """
     from repro.arch.engine import clear_gemm_stats_cache
 

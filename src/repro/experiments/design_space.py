@@ -36,10 +36,10 @@ DEFAULT_MODELS = ("VGG-16", "BERT-large")
 
 def evaluate_point(name: str, height: int, width: int,
                    input_size: int = 32, seq_len: int = 32) -> dict:
-    """One design point: DiVa vs WS at one array geometry (picklable).
+    """One design point: DiVa vs WS at one array geometry.
 
-    Returns a JSON-serializable dict so results can be persisted by
-    :func:`repro.experiments.runner.run_cached`.
+    The scalar oracle of :func:`evaluate_points_batched`; returns the
+    same JSON-serializable row.
     """
     from repro.core import build_accelerator
     from repro.training import Algorithm, max_batch_size, \
@@ -140,7 +140,6 @@ def run(
     widths: tuple[int, ...] | None = None,
     input_size: int = 32,
     seq_len: int = 32,
-    jobs: int | None = None,
     cache: "runner.ResultCache | None" = None,
     stats: "runner.CacheStats | None" = None,
     profiler: "Profiler | None" = None,
@@ -157,14 +156,12 @@ def run(
             for name in models for h in heights for w in widths
             if not square_only or h == w]
     # One cache entry per point: growing the swept set only computes
-    # the new combinations.  The sweep is fully analytic, so misses are
-    # priced in one batched in-process evaluation (`jobs` is accepted
-    # for API stability; no workers are needed) — `evaluate_point`
-    # remains as the pinned scalar oracle.  Key v2: ``input_size`` and
-    # ``seq_len`` shape the built model, so they are part of the key
-    # (v1 omitted them — a stale-hit bug found by repro-lint R002; the
-    # added fields re-hash every entry, invalidating v1 caches).
-    del jobs
+    # the new combinations.  Misses are priced in one batched
+    # in-process evaluation — `evaluate_point` remains as the pinned
+    # scalar oracle.  Key v2: ``input_size`` and ``seq_len`` shape the
+    # built model, so they are part of the key (v1 omitted them — a
+    # stale-hit bug found by repro-lint R002; the added fields re-hash
+    # every entry, invalidating v1 caches).
     return runner.cached_batch(
         evaluate_points_batched, work, cache=cache,
         stats=stats, profiler=profiler,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments import runner
 from repro.experiments.common import get_accelerator
 from repro.experiments.report import format_table
 from repro.workloads.gemms import Gemm
@@ -36,7 +35,7 @@ class SweepPoint:
 
 
 def sweep_point(m: int, k: int, n: int) -> SweepPoint:
-    """Utilization of every engine at one shape (picklable worker)."""
+    """Utilization of every engine at one shape."""
     util = {}
     for label, kind, with_ppu in _ENGINES:
         accel = get_accelerator(kind, with_ppu)
@@ -47,7 +46,7 @@ def sweep_point(m: int, k: int, n: int) -> SweepPoint:
 def k_sweep(m: int = 1024, n: int = 512,
             ks: tuple[int, ...] = K_SWEEP) -> list[SweepPoint]:
     """Sweep the K dimension at a fixed (M, N) footprint."""
-    return runner.sweep(sweep_point, [(m, k, n) for k in ks], star=True)
+    return [sweep_point(m, k, n) for k in ks]
 
 
 def aspect_sweep(macs: int = 2**24) -> list[SweepPoint]:
@@ -58,7 +57,7 @@ def aspect_sweep(macs: int = 2**24) -> list[SweepPoint]:
         k = max(1, side // squish)
         mn = int((macs / k) ** 0.5)
         shapes.append((mn, k, mn))
-    return runner.sweep(sweep_point, shapes, star=True)
+    return [sweep_point(m, k, n) for m, k, n in shapes]
 
 
 def render(points: list[SweepPoint] | None = None) -> str:

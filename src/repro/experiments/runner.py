@@ -1,39 +1,19 @@
-"""Parallel experiment runner: process-pool sweeps + persisted JSON caching.
+"""Experiment runner: persisted JSON caching around batched evaluators.
 
-The experiment harness spends its time in many independent simulations
-(one per model / design point / scale setting), so the natural speedup
-is a process pool: :func:`sweep` maps a module-level function over a
-list of picklable work items with a ``ProcessPoolExecutor``, preserving
-input order.  ``run_all``, the GEMM robustness sweep, the Section VI-C
-sensitivity study and the ``design-space`` CLI subcommand all route
-their fan-out through it.
+Every experiment runs in-process.  The analytic sweeps hand a whole
+grid to the batched NumPy engines, which price it in a few broadcast
+passes; this module decides which points still need pricing and
+persists the results.
 
 API
 ---
-``sweep(fn, items, *, jobs=None, parallel=None, star=False)``
-    Order-preserving map.  ``fn`` must be importable (module-level) and
-    ``items`` picklable.  With ``star=True`` each item is a tuple of
-    positional arguments.  Falls back to a plain serial loop when
-    parallelism is disabled, a single job is requested, or there is at
-    most one item.
-``run_cached(key_obj, producer, *, cache=None)``
-    Persisted JSON memoization: returns ``producer()`` and stores it
-    under ``config_hash(key_obj)``; later calls with an equal key load
-    the stored value instead of recomputing.  ``producer`` must return
-    a JSON-serializable value.  A ``None`` cache (the default when no
-    cache directory is configured) disables persistence.
-``cached_sweep(fn, items, *, key_fn, cache=None, ...)``
-    :func:`sweep` with one persisted entry *per item* (keyed by
-    ``config_hash(key_fn(item))``): growing a sweep recomputes only
-    the new points.
 ``cached_batch(batch_fn, items, *, key_fn, cache=None)``
-    The in-process counterpart for *analytic* sweeps: one
+    Per-item persistent memoization around one batched evaluator: one
     ``get_many`` lookup pass per grid, one batched evaluation of the
     missing items (``batch_fn`` gets the list, returns the values in
-    order — this is where the NumPy batched engines plug in), one
-    ``put_many`` write batch with a single fsync.  The ``scaling`` and
-    ``design-space`` experiments route through this; the process pool
-    stays for non-analytic work.
+    order), one ``put_many`` write batch with a single fsync.  The
+    ``scaling`` and ``design-space`` experiments and the serving
+    scheduler's service-time table route through this.
 ``config_hash(obj)``
     Stable short SHA-256 of a canonical JSON rendering of ``obj``
     (dataclasses, enums, tuples and mappings are normalized first).
@@ -42,52 +22,27 @@ API
     written atomically, carrying both the key and the value so entries
     stay debuggable.
 
-Caching and parallelism knobs
------------------------------
-``REPRO_JOBS``
-    Default worker count (otherwise ``os.cpu_count()``).  ``1`` gives
-    serial execution.
-``REPRO_PARALLEL=0``
-    Force every sweep serial regardless of ``jobs`` (useful under
-    debuggers, coverage, or in sandboxes without working ``fork``).
-``REPRO_CACHE_DIR``
-    Enables persisted result caching under this directory for callers
-    that do not pass an explicit :class:`ResultCache`.
+``REPRO_CACHE_DIR`` enables persisted result caching under that
+directory for callers that do not pass an explicit :class:`ResultCache`.
 
 Stale-entry policy: a cache entry's hash covers every input the caller
-puts into ``key_obj`` — sweep parameters plus the relevant architecture
+puts into the key — sweep parameters plus the relevant architecture
 config — so changing any knob produces a fresh entry.  Code changes are
 *not* hashed; delete the cache directory (or pass a versioned key) when
 the models themselves change.
 
-Examples
---------
-Parallel map over picklable work items (``fn`` must live at module
-scope so worker processes can import it)::
-
-    from repro.experiments import runner
-
-    def cube(x):                                  # module-level
-        return x ** 3
-
-    runner.sweep(cube, [1, 2, 3], jobs=2)         # -> [1, 8, 27]
-    runner.sweep(pow, [(2, 3), (3, 2)], star=True)  # -> [8, 9]
-
+Example
+-------
 Persist one JSON entry per design point, so growing a sweep recomputes
 only the new combinations (this is how ``design-space`` and ``scaling``
 drive their CLI ``--cache-dir``)::
 
     cache = runner.ResultCache(".repro_cache")
-    rows = runner.cached_sweep(
-        evaluate_point, work, star=True, cache=cache,
-        key_fn=lambda item: {"experiment": "design_space",
-                             "model": item[0], "height": item[1],
-                             "width": item[2]})
-
-Memoize a whole experiment under one key::
-
-    table = runner.run_cached({"experiment": "fig13", "rev": 2},
-                              lambda: fig13_speedup.run(), cache=cache)
+    rows = runner.cached_batch(
+        evaluate_points_batched, work, cache=cache,
+        key_fn=lambda point: {"experiment": "design_space",
+                              "model": point[0], "height": point[1],
+                              "width": point[2]})
 """
 
 from __future__ import annotations
@@ -97,7 +52,6 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
@@ -115,8 +69,8 @@ class CacheStats:
     ``stale`` found an entry that could not be used (unreadable file,
     corrupt JSON, or a payload without a value) — stale entries are
     recomputed exactly like misses, the distinction only matters for
-    reporting.  Pass one instance through several
-    :func:`cached_sweep` / :func:`cached_batch` calls to accumulate.
+    reporting.  Pass one instance through several :func:`cached_batch`
+    calls to accumulate.
     """
 
     hits: int = 0
@@ -149,54 +103,6 @@ def _stage(profiler: "Profiler | None", name: str) -> ContextManager:
     if profiler is None:
         return nullcontext()
     return profiler.stage(name)
-
-
-def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` if set, else ``os.cpu_count()``."""
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
-def parallel_enabled() -> bool:
-    """Whether process pools are allowed (``REPRO_PARALLEL`` != 0)."""
-    return os.environ.get("REPRO_PARALLEL", "1").strip() != "0"
-
-
-def _worker_init() -> None:
-    """Mark sweep workers: nested sweeps inside them stay serial."""
-    os.environ["REPRO_PARALLEL"] = "0"
-
-
-def sweep(
-    fn: Callable,
-    items: Iterable,
-    *,
-    jobs: int | None = None,
-    parallel: bool | None = None,
-    star: bool = False,
-) -> list:
-    """Map ``fn`` over ``items`` with a process pool, preserving order."""
-    work = list(items)
-    if parallel is None:
-        parallel = parallel_enabled()
-    workers = min(jobs or default_jobs(), max(1, len(work)))
-    if not parallel or workers <= 1 or len(work) <= 1:
-        if star:
-            return [fn(*item) for item in work]
-        return [fn(item) for item in work]
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_worker_init) as pool:
-        if star:
-            futures = [pool.submit(fn, *item) for item in work]
-        else:
-            futures = [pool.submit(fn, item) for item in work]
-        return [future.result() for future in futures]
 
 
 def _jsonable(obj: Any) -> Any:
@@ -311,10 +217,10 @@ class ResultCache:
     def put(self, key_hash: str, key: Any, value: Any) -> None:
         """Atomically persist ``value`` (and its key, for debuggability).
 
-        Concurrent sweep workers (and the serving scheduler's cached
-        step-latency lookups) may hammer the same entry: the payload is
-        flushed and fsynced, then published with ``os.replace`` — the
-        torn-read guarantee of :meth:`_publish`.
+        Several processes sharing one cache directory may hammer the
+        same entry: the payload is flushed and fsynced, then published
+        with ``os.replace`` — the torn-read guarantee of
+        :meth:`_publish`.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         self._publish(key_hash, key, value, fsync_file=True)
@@ -354,73 +260,6 @@ def default_cache() -> ResultCache | None:
     return ResultCache(root) if root else None
 
 
-def run_cached(
-    key_obj: Any,
-    producer: Callable[[], Any],
-    *,
-    cache: ResultCache | None = None,
-) -> Any:
-    """Return ``producer()``, memoized persistently under ``key_obj``."""
-    if cache is None:
-        cache = default_cache()
-    if cache is None:
-        return producer()
-    key_hash = config_hash(key_obj)
-    hit = cache.get(key_hash)
-    if hit is not None:
-        return hit
-    value = producer()
-    cache.put(key_hash, key_obj, value)
-    return value
-
-
-def cached_sweep(
-    fn: Callable,
-    items: Iterable,
-    *,
-    key_fn: Callable[[Any], Any],
-    cache: ResultCache | None = None,
-    jobs: int | None = None,
-    parallel: bool | None = None,
-    star: bool = False,
-    stats: CacheStats | None = None,
-    profiler: "Profiler | None" = None,
-) -> list:
-    """:func:`sweep` with per-item persistent memoization.
-
-    Each item is cached under ``config_hash(key_fn(item))``, so growing
-    a sweep only computes the new points — previously stored ones load
-    from disk.  ``fn`` must return JSON-serializable values.  Without a
-    cache this degrades to a plain :func:`sweep`.  ``stats`` tallies
-    hit/miss/stale lookup outcomes; ``profiler`` times the
-    lookup/compute/write stages and counts sweep sizes.
-    """
-    work = list(items)
-    if profiler is not None:
-        profiler.count("sweep_items", len(work))
-    if cache is None:
-        cache = default_cache()
-    if cache is None:
-        with _stage(profiler, "cache/compute"):
-            return sweep(fn, work, jobs=jobs, parallel=parallel, star=star)
-    with _stage(profiler, "cache/lookup"):
-        keys = [key_fn(item) for item in work]
-        hashes = [config_hash(key) for key in keys]
-        results = cache.get_many(hashes, stats=stats)
-    missing = [i for i, value in enumerate(results) if value is None]
-    if profiler is not None:
-        profiler.count("cache_hits", len(work) - len(missing))
-        profiler.count("cache_misses", len(missing))
-    with _stage(profiler, "cache/compute"):
-        computed = sweep(fn, [work[i] for i in missing],
-                         jobs=jobs, parallel=parallel, star=star)
-    with _stage(profiler, "cache/write"):
-        for index, value in zip(missing, computed):
-            cache.put(hashes[index], keys[index], value)
-            results[index] = value
-    return results
-
-
 def cached_batch(
     batch_fn: Callable[[list], list],
     items: Iterable,
@@ -432,12 +271,10 @@ def cached_batch(
 ) -> list:
     """Per-item persistent memoization around one *batched* evaluator.
 
-    The in-process analogue of :func:`cached_sweep` for analytic work:
-    instead of fanning items out to a process pool, ``batch_fn``
-    receives the list of cache-missing items in input order and must
-    return their (JSON-serializable) values in the same order — the
-    batched NumPy engines evaluate the whole list in a few broadcast
-    passes.  Cache lookups happen in one :meth:`ResultCache.get_many`
+    ``batch_fn`` receives the list of cache-missing items in input
+    order and must return their (JSON-serializable) values in the same
+    order — the batched NumPy engines evaluate the whole list in a few
+    broadcast passes.  Cache lookups happen in one :meth:`ResultCache.get_many`
     pass per grid and new results land through one
     :meth:`ResultCache.put_many` batch (single fsync).  ``stats``
     tallies hit/miss/stale lookup outcomes; ``profiler`` times the

@@ -227,7 +227,6 @@ def run(
     plan_mode: str = "fixed",
     fabric: str | None = None,
     hbm_gb: float | None = None,
-    jobs: int | None = None,
     cache: "runner.ResultCache | None" = None,
     stats: "runner.CacheStats | None" = None,
     profiler: "Profiler | None" = None,
@@ -241,11 +240,11 @@ def run(
     budget of ``hbm_gb`` GiB (the default chip capacity when ``None``).
     ``fabric`` names a heterogeneous link preset for every point.
 
-    Validates every input before fanning out, so a bad sweep fails
-    with one clean :class:`ValueError` instead of a worker traceback
-    (and never writes partial results into the cache).  ``stats``
-    tallies cache hit/miss/stale outcomes (surfaced by the ``scaling``
-    CLI); ``profiler`` times the lookup/compute/write stages.
+    Validates every input before pricing anything, so a bad sweep
+    fails with one clean :class:`ValueError` (and never writes partial
+    results into the cache).  ``stats`` tallies cache hit/miss/stale
+    outcomes (surfaced by the ``scaling`` CLI); ``profiler`` times the
+    lookup/compute/write stages.
     """
     from repro.arch.interconnect import TOPOLOGIES, fabric_named
 
@@ -332,11 +331,8 @@ def run(
                 work.append((model, n, algorithm, mode, topology, base,
                              overlap, bucket_bytes, chips_per_node,
                              clamped, point_pp, point_tp, fabric))
-    # The sweep is fully analytic, so it goes through the in-process
-    # batched engine (one vectorized evaluation of every cache miss)
-    # rather than the process pool; `jobs` is accepted for API
-    # stability but the batched path needs no workers.
-    del jobs
+    # The sweep is fully analytic: one vectorized in-process evaluation
+    # of every cache miss.
     return runner.cached_batch(
         evaluate_points_batched, work, cache=cache,
         stats=stats, profiler=profiler,

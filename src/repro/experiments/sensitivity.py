@@ -10,11 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import build_accelerator
-from repro.experiments import runner
+from repro.experiments.design_space import evaluate_points_batched
 from repro.experiments.report import format_table, mean
-from repro.training import Algorithm, max_batch_size, simulate_training_step
-from repro.workloads import build_model
 from repro.workloads.zoo import CNN_MODELS, RNN_MODELS, TRANSFORMER_MODELS
 
 #: CNN image sizes: baseline 32 plus 4x/16x/64x *pixels* (2x/4x/8x side).
@@ -33,36 +30,40 @@ class SensitivityPoint:
     speedup: float
 
 
-def _speedup(name: str, input_size: int, seq_len: int) -> SensitivityPoint:
-    network = build_model(name, input_size=input_size, seq_len=seq_len)
-    batch = max_batch_size(network, Algorithm.DP_SGD)
-    ws = build_accelerator("ws")
-    diva = build_accelerator("diva", with_ppu=True)
-    base = simulate_training_step(network, Algorithm.DP_SGD_R, ws, batch)
-    ours = simulate_training_step(network, Algorithm.DP_SGD_R, diva, batch)
-    label = (f"img{input_size}" if name in CNN_MODELS else f"seq{seq_len}")
-    return SensitivityPoint(
-        model=name,
-        scale_label=label,
-        batch=batch,
-        speedup=base.total_seconds / ours.total_seconds,
-    )
+def _points(work: list[tuple[str, int, int]]) -> list[SensitivityPoint]:
+    """Price ``(model, input_size, seq_len)`` settings in one batch.
+
+    Each setting is a design-space point at the paper's 128x128 array,
+    so the whole sweep is one :func:`evaluate_points_batched` call.
+    """
+    rows = evaluate_points_batched(
+        [(name, 128, 128, input_size, seq_len)
+         for name, input_size, seq_len in work])
+    return [
+        SensitivityPoint(
+            model=name,
+            scale_label=(f"img{input_size}" if name in CNN_MODELS
+                         else f"seq{seq_len}"),
+            batch=row["batch"],
+            speedup=row["speedup"],
+        )
+        for (name, input_size, seq_len), row in zip(work, rows)
+    ]
 
 
 def run_images(sizes: tuple[int, ...] = IMAGE_SIZES,
                models: tuple[str, ...] = CNN_MODELS) -> list[SensitivityPoint]:
-    """CNN image-size sweep (one worker per model x size)."""
-    work = [(name, size, 32) for size in sizes for name in models]
-    return runner.sweep(_speedup, work, star=True)
+    """CNN image-size sweep (one point per model x size)."""
+    return _points([(name, size, 32) for size in sizes for name in models])
 
 
 def run_sequences(
     lens: tuple[int, ...] = SEQ_LENS,
     models: tuple[str, ...] = TRANSFORMER_MODELS + RNN_MODELS,
 ) -> list[SensitivityPoint]:
-    """Transformer/RNN sequence-length sweep (one worker per point)."""
-    work = [(name, 32, length) for length in lens for name in models]
-    return runner.sweep(_speedup, work, star=True)
+    """Transformer/RNN sequence-length sweep (one point per setting)."""
+    return _points([(name, 32, length) for length in lens
+                    for name in models])
 
 
 def averages(points: list[SensitivityPoint]) -> dict[str, float]:

@@ -52,7 +52,7 @@ class TenantBudget:
     delta: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # also rejects NaN
             raise ValueError(
                 f"budget epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:

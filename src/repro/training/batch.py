@@ -28,10 +28,10 @@ in a few NumPy broadcast passes:
 Both are pinned cycle- and seconds-identical to the scalar drivers by
 the equivalence tests in ``tests/test_batch_step.py`` — every
 floating-point expression repeats the scalar operation order, so the
-results are bitwise equal, not merely close.  The ``scaling`` and
-``design-space`` experiments and the fleet simulator's service-time
-table (:mod:`repro.serve.scheduler`) run their grids through this
-module; the process-pool runner remains for non-analytic work.
+results are bitwise equal, not merely close.  The ``scaling``,
+``design-space`` and Section VI-C sensitivity experiments and the
+fleet simulator's service-time table (:mod:`repro.serve.scheduler`)
+run their grids through this module.
 """
 
 from __future__ import annotations
@@ -181,7 +181,11 @@ def training_step_batch(
                 profiler.count("unique_gemm_shapes", len(unique))
             stats = gemm_stats_batch(
                 accel.engine, unique[:, 0], unique[:, 1], unique[:, 2], 1)
-            compute = stats.compute_cycles[inverse] * count
+            # One instance's latency per round of concurrently packed
+            # instances (``count`` rounds on an unpacked engine).
+            rounds = -(-count // accel.engine.packing_factors_batch(
+                m, n, count))
+            compute = stats.compute_cycles[inverse] * rounds
 
             input_bytes = accel.config.input_bytes
             acc_bytes = accel.config.acc_bytes

@@ -140,11 +140,14 @@ def test_cache_key_fail_attribute(tmp_path):
     findings = lint_source(tmp_path, """
         from repro.experiments import runner
 
-        def predict(fleet, job, cache=None):
-            key = {"kind": fleet.kind, "model": job.model}
-            return runner.run_cached(
-                key, lambda: simulate(fleet.kind, fleet.chips, job.model),
-                cache=cache)
+        def predict(fleet, models, cache=None):
+            def price(items):
+                return [simulate(fleet.kind, fleet.chips, model)
+                        for model in items]
+
+            return runner.cached_batch(
+                price, models, cache=cache,
+                key_fn=lambda model: {"kind": fleet.kind, "model": model})
     """, select={"R002"})
     assert rule_ids(findings) == ["R002"]
     assert "fleet.chips" in findings[0].message
@@ -158,8 +161,12 @@ def test_cache_key_alias_covers_derived_value(tmp_path):
         def predict(fleet, job, cache=None):
             batch = math.ceil(job.batch / fleet.width) * fleet.width
             key = {"kind": fleet.kind, "batch": batch}
-            return runner.run_cached(
-                key, lambda: simulate(fleet.kind, batch), cache=cache)
+
+            def price(items):
+                return [simulate(fleet.kind, batch) for _ in items]
+
+            return runner.cached_batch(price, [job], cache=cache,
+                                       key_fn=lambda _: key)
     """, select={"R002"})
     assert findings == []
 

@@ -26,12 +26,15 @@ from repro.arch.systolic import (
 )
 from repro.core import build_accelerator
 from repro.core.outer_product import OuterProductEngine
+from repro.core.packing import PackedOuterProductEngine
 from repro.workloads.gemms import Gemm
 
-ENGINE_KINDS = ("ws", "os", "diva")
+#: ``packed-S`` is the segmented-bus outer product with S bus segments.
+ENGINE_KINDS = ("ws", "os", "diva", "packed-1", "packed-4")
 
 #: Edge shapes: exact-fit, remainders in each dimension, unit dims,
-#: sub-array dims, multi-count.
+#: sub-array dims, multi-count, and a multi-count shape small enough to
+#: pack several instances onto one array.
 EDGE_SHAPES = (
     (1, 1, 1, 1),
     (128, 128, 128, 1),
@@ -40,10 +43,14 @@ EDGE_SHAPES = (
     (1, 128, 1, 5),
     (129, 1, 129, 1),
     (64, 700, 31, 7),
+    (16, 64, 16, 32),
 )
 
 
 def _engine(kind: str):
+    if kind.startswith("packed-"):
+        return PackedOuterProductEngine(
+            bus_segments=int(kind.removeprefix("packed-")))
     accel = (build_accelerator("ws") if kind == "ws"
              else build_accelerator(kind))
     return accel.engine
@@ -81,6 +88,17 @@ class TestGemmStatsBatch:
         engine = engine_cls(ArrayConfig(weight_double_buffer=False,
                                         accum_double_buffer=False))
         _assert_batch_equals_scalar(engine, EDGE_SHAPES)
+
+    @pytest.mark.parametrize("bus_segments", [1, 2, 4, 64])
+    def test_packing_factors_batch_match_scalar(self, bus_segments):
+        engine = PackedOuterProductEngine(bus_segments=bus_segments)
+        dims = [(m, n, c) for m in (1, 16, 64, 65, 128, 300)
+                for n in (1, 16, 64, 65, 128) for c in (1, 2, 3, 32)]
+        m, n, c = (np.array(column) for column in zip(*dims))
+        packs = engine.packing_factors_batch(m, n, c)
+        assert [int(pack) for pack in packs] == [
+            engine.packing_factor(Gemm(mi, 8, ni, ci))
+            for mi, ni, ci in dims]
 
     def test_utilization_matches_scalar(self):
         engine = _engine("diva")

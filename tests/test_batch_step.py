@@ -12,8 +12,10 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.arch.accelerator import Accelerator
 from repro.arch.interconnect import InterconnectConfig
 from repro.core import build_accelerator, build_cluster
+from repro.core.packing import PackedOuterProductEngine
 from repro.training import (
     Algorithm,
     sharded_step_batch,
@@ -28,11 +30,23 @@ MODELS = ("SqueezeNet", "MobileNet")
 ALGORITHMS = ("DP-SGD", "DP-SGD(R)", "SGD")
 
 
+def _packed_diva():
+    """DiVa with a 4-segment packed outer-product engine."""
+    diva = build_accelerator("diva", with_ppu=True)
+    return Accelerator(
+        "DiVa-Pack",
+        PackedOuterProductEngine(diva.engine.config, bus_segments=4),
+        memory=diva.memory, vector=diva.vector, ppu=diva.ppu)
+
+
 class TestTrainingStepBatch:
-    @pytest.mark.parametrize("kind", ("ws", "os", "diva"))
+    @pytest.mark.parametrize("kind", ("ws", "os", "diva", "diva-pack"))
     def test_phase_cycles_match_scalar(self, kind):
-        accel = (build_accelerator("ws") if kind == "ws"
-                 else build_accelerator(kind))
+        if kind == "diva-pack":
+            accel = _packed_diva()
+        else:
+            accel = (build_accelerator("ws") if kind == "ws"
+                     else build_accelerator(kind))
         specs, refs = [], []
         for model in MODELS:
             network = build_model(model)
@@ -137,6 +151,9 @@ class TestExperimentBatchedPaths:
 
         work = [("SqueezeNet", h, w) for h, w in
                 ((64, 64), (64, 128), (96, 96))]
+        # The (input_size, seq_len) shapes the sensitivity study sends.
+        work += [("SqueezeNet", 128, 128, 64, 32),
+                 ("LSTM-small", 128, 128, 32, 128)]
         batched = design_space.evaluate_points_batched(work)
         scalar = [design_space.evaluate_point(*point) for point in work]
         assert batched == scalar

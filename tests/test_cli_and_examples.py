@@ -39,7 +39,7 @@ class TestCli:
     def test_scaling(self, capsys):
         assert cli_main(["scaling", "--chips", "1", "2",
                          "--models", "SqueezeNet",
-                         "--algorithms", "DP-SGD", "--jobs", "1"]) == 0
+                         "--algorithms", "DP-SGD"]) == 0
         out = capsys.readouterr().out
         assert "Speedup" in out
         assert "Efficiency" in out

@@ -179,7 +179,7 @@ class TestShardedStep:
 class TestScalingExperiment:
     def test_run_annotate_and_render(self):
         rows = scaling.run(models=("SqueezeNet",), chips=(1, 2),
-                           algorithms=("DP-SGD",), jobs=1)
+                           algorithms=("DP-SGD",))
         assert len(rows) == 2
         annotated = scaling.annotate(rows)
         baseline = next(r for r in annotated if r["chips"] == 1)
@@ -193,7 +193,7 @@ class TestScalingExperiment:
     def test_weak_scaling_grows_global_batch(self):
         rows = scaling.run(models=("SqueezeNet",), chips=(1, 2),
                            algorithms=("DP-SGD",), mode="weak",
-                           batch=32, jobs=1)
+                           batch=32)
         by_chips = {row["chips"]: row for row in rows}
         assert by_chips[1]["global_batch"] == 32
         assert by_chips[2]["global_batch"] == 64
@@ -220,16 +220,15 @@ class TestScalingExperiment:
             scaling.run(models=("SqueezeNet",), chips=(1, 8), batch=100)
         # Weak scaling shards per chip, so any positive batch is fine.
         rows = scaling.run(models=("SqueezeNet",), chips=(1, 8),
-                           algorithms=("SGD",), mode="weak", batch=100,
-                           jobs=1)
+                           algorithms=("SGD",), mode="weak", batch=100)
         assert [row["global_batch"] for row in rows] == [100, 800]
 
     def test_results_persist_in_json_cache(self, tmp_path):
         from repro.experiments.runner import ResultCache
         cache = ResultCache(tmp_path)
         rows = scaling.run(models=("SqueezeNet",), chips=(1, 2),
-                           algorithms=("DP-SGD",), jobs=1, cache=cache)
+                           algorithms=("DP-SGD",), cache=cache)
         assert len(list(tmp_path.glob("*.json"))) == 2
         again = scaling.run(models=("SqueezeNet",), chips=(1, 2),
-                            algorithms=("DP-SGD",), jobs=1, cache=cache)
+                            algorithms=("DP-SGD",), cache=cache)
         assert again == rows

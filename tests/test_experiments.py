@@ -218,6 +218,34 @@ class TestSensitivity:
         avg = sensitivity.averages(points)
         assert avg["seq128"] < avg["seq32"]
 
+    def test_points_match_table2_scalar_step(self):
+        """The batched study equals scalar steps on the Table II chips."""
+        from repro.core import build_accelerator
+        from repro.training import (
+            Algorithm,
+            max_batch_size,
+            simulate_training_step,
+        )
+        from repro.workloads import build_model
+
+        ws = build_accelerator("ws")
+        diva = build_accelerator("diva", with_ppu=True)
+        points = (sensitivity.run_images(sizes=(64,),
+                                         models=("SqueezeNet",))
+                  + sensitivity.run_sequences(lens=(128,),
+                                              models=("LSTM-small",)))
+        for point, (input_size, seq_len) in zip(points,
+                                                ((64, 32), (32, 128))):
+            network = build_model(point.model, input_size=input_size,
+                                  seq_len=seq_len)
+            batch = max_batch_size(network, Algorithm.DP_SGD)
+            base = simulate_training_step(network, Algorithm.DP_SGD_R, ws,
+                                          batch)
+            ours = simulate_training_step(network, Algorithm.DP_SGD_R,
+                                          diva, batch)
+            assert point.batch == batch
+            assert point.speedup == base.total_seconds / ours.total_seconds
+
 
 class TestMaxBatchAndTraffic:
     def test_maxbatch_rows(self):

@@ -321,7 +321,7 @@ class TestScalingExperimentKnobs:
         rows = scaling.run(models=("SqueezeNet",), chips=(2, 4),
                            algorithms=("DP-SGD",),
                            topology="hierarchical", chips_per_node=2,
-                           bucket_bytes=256 * 1024, jobs=1)
+                           bucket_bytes=256 * 1024)
         assert all(row["topology"] == "hierarchical" for row in rows)
         assert all(row["chips_per_node"] == 2 for row in rows)
         assert all(row["comm_ms"] <= row["comm_total_ms"] + 1e-9
@@ -330,7 +330,7 @@ class TestScalingExperimentKnobs:
     def test_overlap_exposed_leq_serial_per_point(self):
         common = dict(models=("SqueezeNet",), chips=(2, 4, 8),
                       algorithms=("DP-SGD",),
-                      bucket_bytes=128 * 1024, jobs=1)
+                      bucket_bytes=128 * 1024)
         on = scaling.run(overlap=True, **common)
         off = scaling.run(overlap=False, **common)
         for row_on, row_off in zip(on, off):
@@ -353,7 +353,7 @@ class TestScalingExperimentKnobs:
         from repro.experiments.runner import ResultCache
         cache = ResultCache(tmp_path)
         common = dict(models=("SqueezeNet",), chips=(2,),
-                      algorithms=("DP-SGD",), jobs=1, cache=cache)
+                      algorithms=("DP-SGD",), cache=cache)
         scaling.run(overlap=True, bucket_bytes=64 * 1024, **common)
         scaling.run(overlap=False, bucket_bytes=64 * 1024, **common)
         scaling.run(overlap=True, **common)

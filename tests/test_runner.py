@@ -1,4 +1,4 @@
-"""Tests for the parallel experiment runner (repro.experiments.runner)."""
+"""Tests for repro.experiments.runner: config hashing and result cache."""
 
 import json
 
@@ -6,49 +6,6 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.design_space import evaluate_point
-
-
-def square(x):
-    return x * x
-
-
-def add(a, b):
-    return a + b
-
-
-class TestSweep:
-    def test_serial_preserves_order(self):
-        assert runner.sweep(square, [3, 1, 2], parallel=False) == [9, 1, 4]
-
-    def test_parallel_preserves_order(self):
-        items = list(range(20))
-        assert runner.sweep(square, items, jobs=4, parallel=True) \
-            == [x * x for x in items]
-
-    def test_star_unpacks_tuples(self):
-        assert runner.sweep(add, [(1, 2), (3, 4)], star=True,
-                            parallel=False) == [3, 7]
-
-    def test_star_parallel(self):
-        assert runner.sweep(add, [(1, 2), (3, 4)], star=True, jobs=2,
-                            parallel=True) == [3, 7]
-
-    def test_empty(self):
-        assert runner.sweep(square, [], parallel=True) == []
-
-    def test_env_disables_parallelism(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "0")
-        assert not runner.parallel_enabled()
-        assert runner.sweep(square, [1, 2]) == [1, 4]
-
-    def test_env_jobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert runner.default_jobs() == 3
-
-    def test_env_jobs_malformed_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "4x")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            runner.default_jobs()
 
 
 class TestConfigHash:
@@ -93,54 +50,6 @@ class TestResultCache:
         cache.put("abc", {"model": "VGG-16"}, 42)
         payload = json.loads(cache.path("abc").read_text())
         assert payload["key"] == {"model": "VGG-16"}
-
-    def test_run_cached_computes_once(self, tmp_path):
-        cache = runner.ResultCache(tmp_path)
-        calls = []
-
-        def producer():
-            calls.append(1)
-            return {"x": 7}
-
-        key = {"sweep": [1, 2, 3]}
-        assert runner.run_cached(key, producer, cache=cache) == {"x": 7}
-        assert runner.run_cached(key, producer, cache=cache) == {"x": 7}
-        assert len(calls) == 1
-
-    def test_run_cached_without_cache_recomputes(self):
-        calls = []
-
-        def producer():
-            calls.append(1)
-            return 1
-
-        runner.run_cached({"k": 1}, producer, cache=None)
-        runner.run_cached({"k": 1}, producer, cache=None)
-        assert len(calls) == 2
-
-    def test_cached_sweep_per_item_entries(self, tmp_path):
-        cache = runner.ResultCache(tmp_path)
-        calls = []
-
-        def record(x):
-            calls.append(x)
-            return x * 10
-
-        key_fn = lambda x: {"item": x}  # noqa: E731
-        first = runner.cached_sweep(record, [1, 2], key_fn=key_fn,
-                                    cache=cache, parallel=False)
-        assert first == [10, 20]
-        # Growing the sweep only computes the new point.
-        second = runner.cached_sweep(record, [1, 2, 3], key_fn=key_fn,
-                                     cache=cache, parallel=False)
-        assert second == [10, 20, 30]
-        assert calls == [1, 2, 3]
-        assert len(list(tmp_path.glob("*.json"))) == 3
-
-    def test_cached_sweep_without_cache_is_plain_sweep(self):
-        assert runner.cached_sweep(square, [2, 3],
-                                   key_fn=lambda x: x,
-                                   cache=None, parallel=False) == [4, 9]
 
     def test_put_many_roundtrip_and_single_batch(self, tmp_path):
         cache = runner.ResultCache(tmp_path)
@@ -264,9 +173,9 @@ class TestDesignSpace:
 
         cache = runner.ResultCache(tmp_path)
         rows = design_space.run(models=("SqueezeNet",), heights=(128,),
-                                cache=cache, jobs=1)
+                                cache=cache)
         again = design_space.run(models=("SqueezeNet",), heights=(128,),
-                                 cache=cache, jobs=1)
+                                 cache=cache)
         assert rows == again
         assert len(list(tmp_path.glob("*.json"))) == 1
 

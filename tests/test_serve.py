@@ -103,6 +103,15 @@ class TestTraceGenerator:
 
 
 class TestAdmission:
+    @pytest.mark.parametrize("budget", [
+        {"epsilon": 0.0}, {"epsilon": -1.0}, {"epsilon": float("nan")},
+        {"epsilon": 1.0, "delta": 0.0}, {"epsilon": 1.0, "delta": 1.0},
+        {"epsilon": 1.0, "delta": float("nan")},
+    ])
+    def test_budget_rejects_invalid(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            TenantBudget(**budget)
+
     def test_non_private_is_free(self):
         ctl = AdmissionController(TenantBudget(epsilon=1.0))
         decision = ctl.admit(_job(0, algorithm="SGD", steps=10**6))

@@ -32,7 +32,7 @@ SCALING_POINTS_PER_SEC_FLOOR = 2.0
 #: (shard, pp) — far fewer than its point count, so a modest per-point
 #: floor still catches a fallback to per-point scheduling.
 GRID3D_POINTS_PER_SEC_FLOOR = 10.0
-BATCHED_VS_POOL_SPEEDUP_FLOOR = 5.0
+BATCHED_VS_SCALAR_SPEEDUP_FLOOR = 5.0
 #: Small traces are dominated by fixed setup (service table, RDP
 #: curves), so they get a lower floor than the million-job point where
 #: per-job throughput is the signal.
@@ -94,13 +94,13 @@ def check_scaling(failures: list[str]) -> None:
             failures.append(
                 f"3D-grid sweep: {rate:.1f} points/s "
                 f"< floor {GRID3D_POINTS_PER_SEC_FLOOR:.0f}/s")
-    for name, section in record.get("batched_vs_pool", {}).items():
+    for name, section in record.get("batched_vs_scalar", {}).items():
         speedup = section.get("speedup", 0.0)
-        if speedup < BATCHED_VS_POOL_SPEEDUP_FLOOR:
+        if speedup < BATCHED_VS_SCALAR_SPEEDUP_FLOOR:
             failures.append(
-                f"batched {name} sweep speedup vs process pool: "
+                f"batched {name} sweep speedup vs scalar loop: "
                 f"{speedup:.1f}x < floor "
-                f"{BATCHED_VS_POOL_SPEEDUP_FLOOR:.0f}x")
+                f"{BATCHED_VS_SCALAR_SPEEDUP_FLOOR:.0f}x")
 
 
 def check_serve(failures: list[str]) -> None:
